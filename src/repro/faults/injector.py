@@ -208,11 +208,13 @@ class FaultInjector:
         """Drain every flow-control credit of the link (both directions,
         all VCs); the receiver looks wedged until the credits return."""
         link = self._link_of(ev)
-        # Macro-event fast paths (trains, flows) plan against full credit
-        # pools; demote them *before* the theft so their reconstruction
-        # sees the pre-fault state -- stealing out from under a promoted
-        # schedule would silently break its exactness contract.
-        link._abort_trains()
+        # Macro windows (trains, flows) plan against full credit pools;
+        # demote them *before* the theft so their reconstruction starts
+        # from the pre-fault state.  Not exact for a train: it holds no
+        # POSTED credits mid-window, so the theft also takes the credits
+        # the per-packet run's in-flight packets would bring home
+        # (DESIGN.md section 8.2).
+        link.demote_macros()
         stolen = []
         for d in link._dirs.values():
             for vc, pool in d.credits.items():

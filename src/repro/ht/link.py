@@ -156,14 +156,11 @@ class _Direction:
             credits[done_ev.value.vc].give()
 
         self._credit_cb = _return_credit
-        #: Active aggregate-fidelity packet train owning this direction
-        #: (repro.opteron.train); foreign sends demote it first.
-        self._train = None
-        #: Active flow-level macro flow owning this direction
-        #: (repro.sim.flows); same demote-on-foreign-interaction contract
-        #: as trains.  Flows with ``absorbs`` set additionally intercept
-        #: deliveries on their in-direction (multi-hop forwarding).
-        self._flow = None
+        #: Macro window owning this direction (a bulk train or a flow, see
+        #: repro.sim.flows.MacroWindow); foreign sends demote it first
+        #: (Link.demote_macros).  An absorbing window additionally
+        #: intercepts deliveries on its in-direction (multi-hop forwarding).
+        self._macro = None
         #: Burst-window deliveries pushed into the calendar but not yet
         #: past their serialization end: (cancel_seq, ser_end, pkt, vc).
         #: Pruned lazily; consulted by bring_down() to NAK packets that
@@ -388,7 +385,7 @@ class _Direction:
 
     def _deliver(self, pkt: Packet, vc: VirtualChannel) -> None:
         link = self.link
-        f = self._flow
+        f = self._macro
         if f is not None and f.absorbs and f.d_in is self:
             # A forwarding flow absorbs matching packets at the delivery
             # point; a surprise packet demotes it first (abort reproduces
@@ -503,26 +500,16 @@ class Link:
         if self.state != LinkState.ACTIVE:
             raise LinkDownError(f"link {self.name} is {self.state}")
         d = self._dirs[side]
-        if d._train is not None:
-            d._train.abort(self.sim._now)
-        f = d._flow
-        if f is not None and not (f.absorbs and f.d_in is d):
-            # A foreign send invalidates a planned TX schedule -- but an
-            # absorbing flow's in-direction transmits per-packet (the
-            # sender upstream is exactly who feeds the flow), so sends
-            # into it are expected traffic, filtered at delivery instead.
-            f.abort(self.sim._now)
+        if d._macro is not None:
+            self.demote_macros(side)
         return d.txq[pkt.vc].put(pkt)
 
     def try_send(self, side: str, pkt: Packet) -> bool:
         if self.state != LinkState.ACTIVE:
             raise LinkDownError(f"link {self.name} is {self.state}")
         d = self._dirs[side]
-        if d._train is not None:
-            d._train.abort(self.sim._now)
-        f = d._flow
-        if f is not None and not (f.absorbs and f.d_in is d):
-            f.abort(self.sim._now)
+        if d._macro is not None:
+            self.demote_macros(side)
         return d.txq[pkt.vc].try_put(pkt)
 
     def receive(self, side: str) -> Event:
@@ -577,14 +564,14 @@ class Link:
     def bring_down(self) -> None:
         """Take the link down (fault injection or the start of retrain).
 
-        Ordering matters: aggregate trains are demoted first (their
+        Ordering matters: macro windows are demoted first (their
         speculative future is revoked against pre-fault state), then any
         burst-serialization window in flight is unwound -- packets whose
         wire time had not completed are NAK'd back to their TX queues --
         and only then does the state flip and the up-gate close, parking
         the pumps until :meth:`activate`.
         """
-        self._abort_trains()
+        self.demote_macros()
         for d in self._dirs.values():
             d._unwind_bursts()
         self.state = LinkState.DOWN
@@ -618,7 +605,7 @@ class Link:
             raise ValueError(f"illegal link width {width_bits}")
         if gbit_per_lane <= 0:
             raise ValueError(f"illegal lane rate {gbit_per_lane}")
-        self._abort_trains()
+        self.demote_macros()
         self.width_bits = width_bits
         self.gbit_per_lane = gbit_per_lane
         self._rate = width_bits * gbit_per_lane / 8.0
@@ -631,21 +618,31 @@ class Link:
 
     @ber.setter
     def ber(self, value: float) -> None:
-        # A mid-window error-rate change invalidates an aggregate train's
+        # A mid-window error-rate change invalidates a macro window's
         # retry-free schedule (__init__ assigns before _dirs exists).
         self._ber = value
         if value > 0 and getattr(self, "_dirs", None):
-            self._abort_trains()
+            self.demote_macros()
 
-    def _abort_trains(self) -> None:
-        """Demote any aggregate-fidelity train or macro flow before a
-        link-level change (rate, state, error injection) invalidates its
-        schedule."""
+    def demote_macros(self, side: Optional[str] = None) -> None:
+        """Demote the macro windows (repro.sim.flows.MacroWindow) owning
+        this link's directions before a link-level change (rate, state,
+        error injection, credit theft) invalidates their schedules.
+
+        With ``side`` (a send from that side) only that direction's owner
+        is demoted, and not when it absorbs there: an absorbing window's
+        in-direction is fed by exactly this upstream sender, and its
+        packets are filtered at delivery instead."""
+        now = self.sim._now
+        if side is not None:
+            d = self._dirs[side]
+            m = d._macro
+            if m is not None and not (m.absorbs and m.d_in is d):
+                m.demote(now)
+            return
         for d in self._dirs.values():
-            if d._train is not None:
-                d._train.abort(self.sim._now)
-            if d._flow is not None:
-                d._flow.abort(self.sim._now)
+            if d._macro is not None:
+                d._macro.demote(now)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

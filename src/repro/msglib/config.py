@@ -78,12 +78,6 @@ class MsgConfig:
     #: First retransmit backoff while waiting for acknowledgements;
     #: doubles after every retransmission round (exponential backoff).
     retransmit_base_ns: float = 50_000.0
-    #: In-band session handshake: when a reliable endpoint finds its peer
-    #: declared dead, ``send()`` runs an epoch-numbered HELLO/HELLO-ACK
-    #: exchange over the ring instead of raising immediately, resyncing
-    #: both sides' cursors and resuming.  Inert while no fault has ever
-    #: declared a peer dead, so the fault-free calendar is unchanged.
-    session_handshake: bool = True
     #: Deadline for one HELLO/HELLO-ACK round trip before the reconnect
     #: attempt is abandoned with :class:`SessionReset` (falls back to
     #: ``send_deadline_ns`` when unset).

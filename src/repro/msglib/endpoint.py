@@ -26,7 +26,6 @@ All public methods are generators driven inside a simulation process.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
@@ -63,9 +62,8 @@ class MessageError(RuntimeError):
 class TransportError(MessageError):
     """The transport gave up: a send/recv deadline expired or the path to
     the peer died (link down with no reroute).  The peer is declared dead
-    on send-side failures; the in-band session handshake (or a manual,
-    deprecated :meth:`Endpoint.revive`) clears the verdict after the peer
-    rejoins."""
+    on send-side failures; the in-band session handshake clears the
+    verdict after the peer rejoins."""
 
 
 class SessionReset(TransportError):
@@ -146,7 +144,7 @@ class Endpoint:
         self.stats = EndpointStats()
         # Reliability state (inert unless a send/recv deadline is set).
         #: Peer declared dead by a failed reliable send (or a link-down
-        #: error with no reroute); cleared by :meth:`revive`.
+        #: error with no reroute); cleared by the reconnect handshake.
         self.peer_dead = False
         #: Slot images not yet acknowledged by the peer, oldest first:
         #: ``(seq, slot_addr, slot_image, heap_addr, heap_image)`` --
@@ -218,17 +216,15 @@ class Endpoint:
         if mode not in ("weak", "strict"):
             raise MessageError(f"unknown ordering mode {mode!r}")
         if self.peer_dead:
-            if self.cfg.session_handshake and self._reliable:
-                # In-band reconnect: resync cursors via HELLO/HELLO-ACK,
-                # then fall through and transmit normally.  Raises
-                # SessionReset when the peer is still unresponsive.
-                yield from self._reconnect()
-            else:
+            if not self._reliable:
                 raise TransportError(
                     f"rank {self.me}: peer rank {self.peer} is declared "
-                    "dead (session handshake disabled; revive() after it "
-                    "rejoins)"
+                    "dead (only reliable endpoints reconnect)"
                 )
+            # In-band reconnect: resync cursors via HELLO/HELLO-ACK, then
+            # fall through and transmit normally.  Raises SessionReset
+            # when the peer is still unresponsive.
+            yield from self._reconnect()
         if self._m.enabled:
             # End-to-end latency clock starts before the library overhead,
             # matching what an application-level timer would see.
@@ -423,31 +419,12 @@ class Endpoint:
     # -- reliability (deadline-guarded sends/recvs) -----------------------
     def _transport_fail(self, why: str) -> TransportError:
         """Declare the peer dead and build the typed error (raised by the
-        caller); :meth:`revive` clears the verdict after a rejoin."""
+        caller); the reconnect handshake clears the verdict after a
+        rejoin."""
         self.peer_dead = True
         self.stats.msgs_expired += 1
         fault_counters(self.sim).messages_expired += 1
         return TransportError(f"rank {self.me} -> rank {self.peer}: {why}")
-
-    def revive(self) -> None:
-        """Clear a peer-dead verdict manually after the peer rejoined.
-
-        .. deprecated::
-            The in-band session handshake (``MsgConfig.session_handshake``,
-            on by default for reliable endpoints) resynchronizes
-            automatically on the next ``send()`` after the peer rejoins;
-            manual revival is only needed by endpoints that opted out.
-            Unlike the handshake, ``revive`` keeps the sequence/ack
-            cursors, assuming both sides' DRAM survived a warm reset.
-        """
-        warnings.warn(
-            "Endpoint.revive() is deprecated: the session handshake "
-            "(MsgConfig.session_handshake) resynchronizes automatically",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.peer_dead = False
-        self._unacked.clear()
 
     def crash_discard(self) -> int:
         """Model this endpoint's volatile state being lost in a node

@@ -134,9 +134,10 @@ class Northbridge:
         self._mmio_entries: List[_MmioEntry] = []
         self._pending_reads: Dict[int, Event] = {}
         self._started = False
-        #: Active aggregate-fidelity packet train (repro.opteron.train);
-        #: any foreign submit while one is running demotes it first.
-        self._train = None
+        #: Macro window owning the SRQ (an aggregate-fidelity packet
+        #: train, repro.opteron.train); any foreign submit while one is
+        #: running demotes it first.
+        self._macro = None
         #: Egress port of the current promoted remote-read run (window
         #: accounting for :class:`repro.sim.flows.ReadFlow`): consecutive
         #: same-port promotions count as one window, a demotion or a port
@@ -344,10 +345,10 @@ class Northbridge:
         retire it); otherwise an event that fires on acceptance.  ``mask``
         selects the sized-byte write form.
         """
-        if self._train is not None:
+        if self._macro is not None:
             # A foreign submit invalidates the train's schedule: demote to
             # per-packet state before this packet touches the queue.
-            self._train.abort(self.sim._now)
+            self._macro.demote(self.sim._now)
         pkt = self._pool.posted_write(addr, data, unitid=self.nodeid,
                                       coherent=True, mask=mask)
         pkt.inject_time = self.sim._now
@@ -482,8 +483,7 @@ class Northbridge:
         if self.sim.features.flow_fidelity:
             from ..sim.flows import ReadFlow
 
-            flow = ReadFlow.plan(self, port, pkt, addr, length, response)
-            if flow is not None:
+            if ReadFlow.plan(self, port, pkt, addr, length) is not None:
                 fl = flow_counters(self.sim)
                 if self._read_flow_port != port:
                     self._read_flow_port = port

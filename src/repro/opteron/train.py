@@ -25,25 +25,28 @@ then runs the whole train at *aggregate fidelity*:
   per-packet mode (this is what lets many trains run concurrently in a
   mesh).
 
-**Demotion.**  The schedule is only valid while the train owns its
-queues.  Any foreign action that could perturb it -- another submit into
-the same northbridge, any send on the same link direction, a link
+**Demotion.**  A train is a :class:`~repro.sim.flows.MacroWindow`: the
+schedule is only valid while it owns its northbridge and link direction.
+Any foreign action that could perturb it -- another submit into the
+same northbridge, any send on the same link direction, a link
 rate/BER/state change, an interrupt thrown into the storing core --
-calls :meth:`BulkTrain.abort`, which reconstructs the exact per-packet
-state at the abort instant ``T`` (queue contents, blocked putters, a
-mid-flight dispatcher shim, a mid-serialization phy hold) and falls back
-to per-packet simulation for the remainder.  The reconstruction is
-exact: every timestamp in the recurrence is a dyadic rational under the
-default timing model, so float arithmetic reproduces the per-packet
-event times bit-for-bit (non-dyadic timing would only be ulp-close).
+calls :meth:`~repro.sim.flows.MacroWindow.demote`, which reconstructs the
+exact per-packet state at the demotion instant ``T`` (queue contents,
+blocked putters, a mid-flight dispatcher shim, a mid-serialization phy
+hold) and falls back to per-packet simulation for the remainder.  The
+reconstruction is exact: every timestamp in the recurrence is a dyadic
+rational under the default timing model, so float arithmetic reproduces
+the per-packet event times bit-for-bit (non-dyadic timing would only be
+ulp-close).
 
-Known, documented divergences (all invisible to the golden metrics and
-the equivalence oracle, which excludes them):
+Known, documented divergences (DESIGN.md section 8.2):
 
 * ``LinkStats.bursts`` is not incremented (burst mode's counter);
 * POSTED credits are not taken/returned mid-window (net zero; at most
   2 credits of transient difference while a packet is in flight --
-  eligibility requires enough headroom that gating can never differ);
+  enough headroom that back-pressure never gates differently).  A
+  credit theft (``CREDIT_STALL``) does see the gap, and demotion on a
+  link flap or kill does not rebuild the per-packet NAK sequence;
 * mid-window reads of deferred stats by *foreign* observers at the same
   timestamp as the triggering event see post-application values
   (hooks run before the foreign mutation).
@@ -55,10 +58,10 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, List, Optional
 
-from ..ht.link import LinkDownError, LinkState
+from ..ht.link import LinkDownError
 from ..ht.packet import VirtualChannel, make_posted_write
-from ..sim import Event, Interrupt
-from ..sim.flows import CommitSpan
+from ..sim import Event, Interrupt, MacroEntry
+from ..sim.flows import CommitSpan, MacroWindow
 from ..util.units import CACHELINE
 from .northbridge import RouteKind
 
@@ -86,6 +89,21 @@ def _covers(table, base: int, size: int) -> bool:
     return False
 
 
+def _hand_back(store, ev: Event) -> None:
+    """Return a getter stolen from ``store``, replicating ``try_get``:
+    pop, admit a blocked putter, then resume the process *synchronously*
+    -- the per-packet pump and dispatcher pop and act within a single
+    dispatch, so a lazy succeed() would shift their actions one seq later
+    and lose same-instant tie-breaks.  An empty store re-parks it."""
+    if store._items:
+        item = store._items.popleft()
+        if store._putters:
+            store._admit_putter()
+        ev._succeed_inline(item)
+    else:
+        store._getters.append(ev)
+
+
 def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]:
     """Qualify a WC store for aggregate fidelity; ``None`` demotes to the
     per-packet path before anything is committed.
@@ -108,7 +126,7 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
         return None
     size = nlines * CACHELINE
     nb = chip.nb
-    if nb._train is not None or not nb._started:
+    if nb._macro is not None or not nb._started:
         return None
     # The WC streaming fast path must hold for every line: no open buffer
     # may alias a train line and a buffer slot must stay free throughout.
@@ -126,22 +144,11 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     binding = chip.ports.get(r.dst_link)
     if binding is None:
         return None
-    link, side = binding.link, binding.side
+    link = binding.link
     if getattr(link, "_dirs", None) is None:  # striped/aggregated wrapper
         return None
-    if link.state != LinkState.ACTIVE or link.ber > 0 or link.tracer.enabled:
-        return None
-    d = link._dirs[side]
-    if d._train is not None or d._flow is not None:
-        return None
-    # Direction quiescence: all VC TX queues empty with their pumps
-    # parked, serializer idle with no waiters, POSTED credits full.
-    for q in d.txq.values():
-        if q._items or q._putters or len(q._getters) != 1:
-            return None
-        if q._phantom and q._live_phantoms():
-            return None
-    if d.phy._in_use or d.phy._waiters:
+    d = link._dirs[binding.side]
+    if not MacroWindow.quiescent(d):
         return None
     cred = d.credits[VirtualChannel.POSTED]
     if cred._credits != cred.initial:
@@ -157,7 +164,6 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     dest_nb = dest_chip.nb
     if not dest_nb._started:
         return None
-    t = chip.timing
     proto = make_posted_write(addr, data[:CACHELINE], unitid=nb.nodeid,
                               coherent=False)
     ser = link.serialization_ns(proto)
@@ -181,7 +187,7 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     return BulkTrain(core, addr, data, nlines, binding, d, ser, prop, rxs)
 
 
-class BulkTrain:
+class BulkTrain(MacroWindow):
     """One aggregate-fidelity packet train (see module docstring).
 
     Built by :func:`plan_train` only; drive it with
@@ -190,19 +196,16 @@ class BulkTrain:
 
     def __init__(self, core, addr, data, nlines, binding, direction,
                  ser, prop, rxs):
+        super().__init__(core.sim)
         self.core = core
-        self.sim = core.sim
-        self.chip = core.chip
         self.nb = core.chip.nb
         self.addr = addr
-        self.data = data
         #: Zero-copy line spans into the (immutable) source buffer; both
         #: the receiver-side commits and demotion-rebuilt packets slice
         #: this instead of copying 64 bytes per line.
         self._mv = memoryview(data)
         self.K = nlines
         self.port = binding.port
-        self.link = binding.link
         self.dir = direction
         dest_chip = binding.link.attached[direction.rx_side]
         self.dest_nb = dest_chip.nb
@@ -225,16 +228,21 @@ class BulkTrain:
         self.metrics_on = self.nb._m.enabled
         self._depth_series = f"{self.nb.name}.posted_q_depth"
         # lifecycle
-        self.done = False        # no further aborts possible
         self.aborted = False
-        self.completed = False   # wake fired on the clean path
         self.cut = nlines        # first packet index NOT owned by the train
         self.abort_time = 0.0
         self.resume_fills = 0
         self.resume_put: Optional[Event] = None
         self.wake: Optional[Event] = None
-        self._disp_wake: Optional[Event] = None
         self._pump_wake: Optional[Event] = None
+        # Speculative calendar entries (a demotion revokes whatever part
+        # of the precomputed future did not happen): the receiver commit
+        # chain's next hop (line _chain_idx), completion, finalization.
+        self._chain = MacroEntry(self.sim)
+        self._chain_idx = 0
+        self._complete_e = MacroEntry(self.sim)
+        self._finalize_e = MacroEntry(self.sim)
+        self._span: Optional[CommitSpan] = None
         # deferred-effect cursors
         self._fills_applied = 0
         self._mmio_applied = 0
@@ -377,21 +385,16 @@ class BulkTrain:
     def launch(self) -> None:
         sim = self.sim
         self._compute_schedule(sim._now)
-        self.nb._train = self
-        self.dir._train = self
+        self._claim(self.nb, self.dir)
         self.wake = Event(sim, name=f"{self.nb.name}.train")
         self.nb.counters.inc("train_windows")
         self.nb.counters.inc("train_lines", self.K)
         if self.metrics_on:
             self.nb._m.inc("train.windows")
             self.nb._m.inc("train.lines", self.K)
-        # All three are speculative (a demotion revokes whatever part of
-        # the precomputed future did not happen), so push them cancellable:
-        # a guarded no-op would still drag the clock out to t_final when
-        # an interrupt makes the calendar drain early.
-        self._chain_idx = 0
-        self._chain_seq = None
-        self._span = None
+        # Cancellable rather than guarded no-ops: a stale entry would
+        # still drag the clock out to t_final when an interrupt makes the
+        # calendar drain early.
         if sim.features.flow_fidelity and not self.dest_mc.tracer.enabled:
             # Flow-level fidelity: the whole destination commit schedule
             # becomes one arithmetic span on the controller instead of
@@ -401,18 +404,15 @@ class BulkTrain:
                 sim, self.dest_mc, self.dest_nb, self._offs, self._mv,
                 [s + off for s in self.ss], CACHELINE)
         else:
-            self._chain_seq = sim._push_cancellable(
-                self.ss[0] + self._mcw_off, self._commit, (0,))
-        self._complete_seq = sim._push_cancellable(
-            self.t_end, self._complete, None)
-        self._finalize_seq = sim._push_cancellable(
-            self.t_final, self._finalize, None)
+            self._chain.arm(self.ss[0] + self._mcw_off, self._commit, (0,))
+        self._complete_e.arm(self.t_end, self._complete, None)
+        self._finalize_e.arm(self.t_final, self._finalize, None)
 
     def _commit(self, i: int) -> None:
         """Receiver-side commit of packet ``i`` at its exact per-packet
         instant: the real destination memory write plus rx accounting.
         One live calendar entry walks the whole train."""
-        self._chain_seq = None
+        self._chain.fired()
         if i >= self.cut:
             return
         base = i * CACHELINE
@@ -422,30 +422,19 @@ class BulkTrain:
         j = i + 1
         if j < self.cut:
             self._chain_idx = j
-            self._chain_seq = self.sim._push_cancellable(
-                self.ss[j] + self._mcw_off, self._commit, (j,))
+            self._chain.arm(self.ss[j] + self._mcw_off, self._commit, (j,))
 
     def _complete(self, _=None) -> None:
-        self._complete_seq = None
-        if self.done:
+        self._complete_e.fired()
+        if self._closed:
             return
-        self.completed = True
         self._apply_effects(self.t_end, True)
         self.wake.succeed()
 
     def _finalize(self, _=None) -> None:
-        self._finalize_seq = None
-        if self.done:
-            return
-        self.done = True
-        self._apply_effects(_INF, True)
-        self._unhook()
-
-    def _unhook(self) -> None:
-        if self.nb._train is self:
-            self.nb._train = None
-        if self.dir._train is self:
-            self.dir._train = None
+        self._finalize_e.fired()
+        if self._close():
+            self._apply_effects(_INF, True)
 
     # ------------------------------------------------------------------
     # Demotion
@@ -458,16 +447,12 @@ class BulkTrain:
         pkt.inject_time = self.fill_done[i]
         return pkt
 
-    def abort(self, T: float) -> None:
-        """Demote at virtual time ``T``: reconstruct the exact per-packet
-        state (strict-< cut: the triggering foreign action has not yet
-        mutated anything) and hand every queue back to the live processes.
+    def _demote(self, T: float) -> None:
+        """Reconstruct the exact per-packet state at virtual time ``T``
+        (strict-< cut: the triggering foreign action has not yet mutated
+        anything) and hand every queue back to the live processes.
         """
-        if self.done:
-            return
-        self.done = True
         self.aborted = True
-        self._unhook()
         self.nb.counters.inc("train_demotions")
         if self.metrics_on:
             self.nb._m.inc("train.demotions")
@@ -482,15 +467,10 @@ class BulkTrain:
         self.cut = nser
         # Revoke the speculative future: completion/finalization entirely,
         # and the commit chain's pending hop if it points past the cut.
-        if self._complete_seq is not None:
-            sim._cancel(self._complete_seq)
-            self._complete_seq = None
-        if self._finalize_seq is not None:
-            sim._cancel(self._finalize_seq)
-            self._finalize_seq = None
-        if self._chain_seq is not None and self._chain_idx >= nser:
-            sim._cancel(self._chain_seq)
-            self._chain_seq = None
+        self._complete_e.cancel()
+        self._finalize_e.cancel()
+        if self._chain_idx >= nser:
+            self._chain.cancel()
         if self._span is not None:
             # Flow-level commit span: flushed commits stay, in-flight ones
             # become real calendar entries, and the not-yet-arrived tail
@@ -499,8 +479,7 @@ class BulkTrain:
             self._span = None
             if j0 < nser:
                 self._chain_idx = j0
-                self._chain_seq = sim._push_cancellable(
-                    ss[j0] + self._mcw_off, self._commit, (j0,))
+                self._chain.arm(ss[j0] + self._mcw_off, self._commit, (j0,))
         self._apply_effects(T, False)
         self.abort_time = T
         self.resume_fills = f
@@ -518,6 +497,7 @@ class BulkTrain:
             self._pump_wake = txq._getters.popleft()
 
         pending_txq_put: Optional[Event] = None
+        disp_wake: Optional[Event] = None
         if npop > nput:
             p = npop - 1
             attempt = pop[p] + self.TS
@@ -528,7 +508,7 @@ class BulkTrain:
             # Dispatcher mid-flight on packet npop-1: steal its parked
             # getter; a shim finishes that packet's handling and hands it
             # back to the real loop.
-            self._disp_wake = self.nb.posted_q._getters.popleft()
+            disp_wake = self.nb.posted_q._getters.popleft()
 
         # --- posted queue -------------------------------------------------
         pq = self.nb.posted_q
@@ -554,11 +534,12 @@ class BulkTrain:
             entries.append((ss[nser - 1], 0,
                             lambda: sim._push(ss_end, self._phy_release,
                                               None)))
-        elif self._pump_wake is not None:
+        else:
             self._resume_pump()
         if npop > nput:
             shim = self._dispatcher_shim(pop[npop - 1] + self.TS, T,
-                                         pending_txq_put, npop - 1)
+                                         pending_txq_put, npop - 1,
+                                         disp_wake)
             entries.append((pop[npop - 1], 1,
                             lambda: sim.process(
                                 shim, name=f"{self.nb.name}.train_demote")))
@@ -571,28 +552,16 @@ class BulkTrain:
 
     def _phy_release(self, _=None) -> None:
         self.dir.phy.release()
-        if self._pump_wake is not None:
-            self._resume_pump()
+        self._resume_pump()
 
     def _resume_pump(self) -> None:
         ev = self._pump_wake
-        self._pump_wake = None
-        txq = self.dir.txq[VirtualChannel.POSTED]
-        if txq._items:
-            # Replicate try_get exactly: pop, admit a blocked putter, then
-            # resume the pump *synchronously* -- the per-packet pump pops
-            # and acts within a single dispatch, so a lazy succeed() would
-            # shift its actions one seq later and lose same-instant
-            # tie-breaks against other calendar entries.
-            item = txq._items.popleft()
-            if txq._putters:
-                txq._admit_putter()
-            ev._succeed_inline(item)
-        else:
-            txq._getters.append(ev)
+        if ev is not None:
+            self._pump_wake = None
+            _hand_back(self.dir.txq[VirtualChannel.POSTED], ev)
 
     def _dispatcher_shim(self, attempt: float, T: float,
-                         put_ev: Optional[Event], p: int):
+                         put_ev: Optional[Event], p: int, disp_wake: Event):
         """Finish the dispatcher's in-flight packet exactly as the real
         loop would, then hand the (stolen) getter back to it."""
         if put_ev is None:
@@ -613,21 +582,11 @@ class BulkTrain:
         else:
             yield put_ev
         self.nb.counters.inc("mmio_writes")
-        ev = self._disp_wake
-        self._disp_wake = None
-        pq = self.nb.posted_q
-        if pq._items:
-            # Same-dispatch handback (see _resume_pump): the per-packet
-            # dispatcher pops and samples its depth metric inside the very
-            # dispatch that finished the previous packet's send, so the
-            # real loop must resume inline, before any same-instant core
-            # fill-end entry submits the next line.
-            item = pq._items.popleft()
-            if pq._putters:
-                pq._admit_putter()
-            ev._succeed_inline(item)
-        else:
-            pq._getters.append(ev)
+        # The per-packet dispatcher pops and samples its depth metric
+        # inside the very dispatch that finished the previous packet's
+        # send: resume inline, before any same-instant core fill-end entry
+        # submits the next line.
+        _hand_back(self.nb.posted_q, disp_wake)
 
     # ------------------------------------------------------------------
     # The core-side driver
@@ -641,8 +600,7 @@ class BulkTrain:
         try:
             yield self.wake
         except Interrupt:
-            if not self.done:
-                self.abort(self.sim.now)
+            self.demote(self.sim.now)
             raise
         if not self.aborted:
             return self.K * CACHELINE

@@ -32,13 +32,14 @@ generalizes the pattern to the classes that still ran packet by packet:
   running the transmit pump per packet.  Chained hop by hop this
   propagates a macro flow across supernodes while the links stay clean.
 
-Contract (DESIGN.md section 12): a flow may only *promote* while every
-queue, credit pool and resource it would bypass is quiescent and
+Contract (DESIGN.md section 12): the flows here and the bulk train are
+all :class:`MacroWindow` subclasses.  A window may only *promote* while
+every queue, credit pool and resource it would bypass is quiescent and
 deterministic; any foreign interaction -- a send on an owned link
 direction, a fault injection, a BER/rate change, a link state change --
-must *demote* the flow first, reconstructing bit-identical per-packet
-state at the demotion instant.  Flows change wall-clock cost, never
-virtual time; ``SimFeatures.flow_fidelity`` (default off) gates them all.
+must *demote* it first, reconstructing bit-identical per-packet state at
+the demotion instant.  Flows change wall-clock cost, never virtual time;
+``SimFeatures.flow_fidelity`` (default off) gates them all.
 """
 
 from __future__ import annotations
@@ -46,9 +47,132 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
-__all__ = ["plan_eager_span", "CommitSpan", "ReadFlow", "ForwardFlow"]
+from .engine import MacroEntry
+
+__all__ = ["MacroWindow", "plan_eager_span", "CommitSpan", "ReadFlow",
+           "ForwardFlow"]
 
 _INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# The macro-window contract
+# ---------------------------------------------------------------------------
+
+class MacroWindow:
+    """A run of per-packet work replaced by a precomputed schedule over
+    resources the window owns exclusively (DESIGN.md section 8.2).
+
+    * ownership: :meth:`_claim` puts the window in the ``_macro`` slot of
+      each link direction it plans (a train also claims its northbridge);
+      only :meth:`_close` clears the slots;
+    * quiescence: :meth:`quiescent` is the shared promotion test for a
+      direction whose transmit side the window bypasses;
+    * demotion: :meth:`demote` is the one idempotent entry point; it
+      releases the slots, then :meth:`_demote` rebuilds per-packet state.
+
+    Speculative calendar entries are :class:`~repro.sim.engine.MacroEntry`
+    objects, so a demotion revokes them without advancing the clock.
+    """
+
+    __slots__ = ("sim", "_owners", "_closed")
+
+    #: True for a window that intercepts deliveries on its in-direction
+    #: ``d_in``.  Sends into that direction are its expected feed, so
+    #: ``Link.demote_macros`` leaves it alone for them.
+    absorbs = False
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._owners = ()
+        self._closed = False
+
+    @staticmethod
+    def quiescent(d) -> bool:
+        """True when link direction ``d`` can be planned: link active with
+        BER 0 and no tracer, no window owning it, PHY idle with no waiters,
+        and every VC TX queue empty with only its parked pump -- no
+        putters and no burst slots still held."""
+        link = d.link
+        if link.state != "active" or link._ber > 0 or link.tracer.enabled:
+            return False
+        if d._macro is not None or d.phy._in_use or d.phy._waiters:
+            return False
+        for q in d.txq.values():
+            if q._items or q._putters or len(q._getters) != 1:
+                return False
+            if q._phantom and q._live_phantoms():
+                return False
+        return True
+
+    def _claim(self, *owners) -> None:
+        self._owners = owners
+        for o in owners:
+            o._macro = self
+
+    def _close(self) -> bool:
+        """End the window and release its slots; False if already ended."""
+        if self._closed:
+            return False
+        self._closed = True
+        for o in self._owners:
+            if o._macro is self:
+                o._macro = None
+        return True
+
+    def demote(self, T: float) -> None:
+        """Hand the window back to per-packet simulation at instant ``T``
+        (a no-op once the window has ended)."""
+        if self._close():
+            self._demote(T)
+
+    def _demote(self, T: float) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+def _account_tx(d, pkt, ser: float) -> None:
+    """Charge one completed serialization of ``pkt`` to ``d``'s stats."""
+    s = d.stats
+    s.packets += 1
+    s.payload_bytes += len(pkt.data)
+    s.wire_bytes += pkt.wire_bytes(d.link._crc_bytes)
+    s.busy_ns += ser
+
+
+def _finish_serialization(d, pkt, ser_end: float, ser: float) -> None:
+    """Complete a packet a demotion caught mid-serialization on ``d``
+    (the caller holds the PHY and the packet's credit): at ``ser_end``
+    release the PHY, then deliver (link up) or hand the packet back to
+    the pump for its NAK (link died mid-wire), exactly as the pump."""
+    link = d.link
+    sim = link.sim
+
+    def _end(_=None):
+        d.phy.release()
+        if link.state == "active":
+            _account_tx(d, pkt, ser)
+            sim._push(sim._now + link.propagation_ns, d._deliver,
+                      (pkt, pkt.vc))
+        else:
+            d.stats.busy_ns += ser
+            d.credits[pkt.vc].give()
+            _repump(d, pkt)
+
+    sim._push(ser_end, _end, None)
+
+
+def _repump(d, pkt) -> None:
+    """Return ``pkt`` to the head of its TX queue and wake the pump."""
+    q = d.txq[pkt.vc]
+    q.unget(pkt)
+    q._wake_getter()
+
+
+def _unpark(rx, getter) -> None:
+    """Give a stolen rx-loop getter back at the head of ``rx`` and wake it:
+    the busy window the steal stood in for has closed."""
+    rx._getters.appendleft(getter)
+    rx._wake_getter()
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +256,7 @@ class CommitSpan:
 
     __slots__ = ("sim", "mc", "dest_nb", "offs", "mv", "times", "K",
                  "line", "occ", "_lat", "_c", "_applied", "_flushed",
-                 "_contig", "_recs", "_entries", "_fin_seq", "_detached")
+                 "_contig", "_recs", "_entries", "_fin", "_detached")
 
     def __init__(self, sim, mc, dest_nb, offs, mv, times, line):
         self.sim = sim
@@ -152,8 +276,8 @@ class CommitSpan:
                            for i in range(self.K - 1))
         #: (doorbell, sorted overlapping line indices) for watched ranges.
         self._recs = []
-        self._entries = {}            # doorbell -> (entry seq, seen count)
-        self._fin_seq = None
+        self._entries = {}            # doorbell -> (MacroEntry, seen count)
+        self._fin = MacroEntry(sim)
         self._detached = False
         for lo, hi, db in mc._watches:
             idxs = [i for i in range(self.K)
@@ -171,8 +295,7 @@ class CommitSpan:
         # One entry holds the calendar open to the last commit (the
         # per-packet run's final _commit_write entry); re-armed if
         # foreign port occupancy pushes the true instant later.
-        self._fin_seq = sim._push_cancellable(
-            self._estimate(self.K - 1), self._finalize, None)
+        self._fin.arm(self._estimate(self.K - 1), self._finalize, None)
 
     # -- port arithmetic ----------------------------------------------------
     def next_arrival(self) -> float:
@@ -258,7 +381,7 @@ class CommitSpan:
     def remove_watch(self, db) -> None:
         ent = self._entries.pop(db, None)
         if ent is not None:
-            self.sim._cancel(ent[0])
+            ent[0].cancel()
         for i, (d, _idxs) in enumerate(self._recs):
             if d is db:
                 del self._recs[i]
@@ -285,13 +408,14 @@ class CommitSpan:
                     if self._rings(idxs, self._flushed) < len(idxs) else None
                 if j is None:
                     return
-                seq = self.sim._push_cancellable(
-                    self._estimate(j), self._ring_fire, (db,))
-                self._entries[db] = (seq, db.count)
+                ent = MacroEntry(self.sim)
+                ent.arm(self._estimate(j), self._ring_fire, (db,))
+                self._entries[db] = (ent, db.count)
                 return
 
     def _ring_fire(self, db) -> None:
-        _, seen = self._entries.pop(db, (None, None))
+        ent, seen = self._entries.pop(db)
+        ent.fired()
         self.flush_until(self.sim._now)
         if not db._waiters:
             return
@@ -302,24 +426,20 @@ class CommitSpan:
 
     # -- lifecycle ----------------------------------------------------------
     def _finalize(self, _=None) -> None:
-        self._fin_seq = None
+        self._fin.fired()
         self.flush_until(self.sim._now)
         if self._flushed >= self.K:
             self.detach()
         else:
-            self._fin_seq = self.sim._push_cancellable(
-                self._estimate(self.K - 1), self._finalize, None)
+            self._fin.arm(self._estimate(self.K - 1), self._finalize, None)
 
     def detach(self) -> None:
         if self._detached:
             return
         self._detached = True
-        sim = self.sim
-        if self._fin_seq is not None:
-            sim._cancel(self._fin_seq)
-            self._fin_seq = None
-        for seq, _ in self._entries.values():
-            sim._cancel(seq)
+        self._fin.cancel()
+        for ent, _ in self._entries.values():
+            ent.cancel()
         self._entries.clear()
         for db, _ in self._recs:
             db._providers.remove(self)
@@ -351,7 +471,7 @@ class CommitSpan:
 # Read/response chains
 # ---------------------------------------------------------------------------
 
-class ReadFlow:
+class ReadFlow(MacroWindow):
     """Closed-form remote read: request wire, destination DRAM issue and
     response completion as three calendar entries instead of the
     ~13-entry per-packet request/response pipeline (pump wakes, phy
@@ -365,7 +485,7 @@ class ReadFlow:
     one costs pure arithmetic plus the three entries, the "pipelined
     schedule" over the run.
 
-    Demotion (:meth:`abort`): wherever the read is at instant ``T`` --
+    Demotion (:meth:`_demote`): wherever the read is at instant ``T`` --
     request serializing, on the cable, inside the responder crossbar,
     awaiting DRAM, response serializing, on the cable, or inside the
     requester crossbar -- the per-packet state is reconstructed (phy held
@@ -375,18 +495,12 @@ class ReadFlow:
     counter effects at identical instants.
     """
 
-    #: ReadFlow owns directions for demotion but never intercepts
-    #: deliveries (see ForwardFlow.absorbs).
-    absorbs = False
-
-    __slots__ = ("sim", "nb", "dest_nb", "dest_mc", "link", "req_d",
-                 "rsp_d", "pkt", "addr", "length", "response", "t0",
-                 "ser_req", "t_d1", "t_issue", "t_r", "ser_rsp", "rsp",
-                 "_e1", "_e3", "_getter", "_resp_port", "_demoted",
-                 "_done")
+    __slots__ = ("nb", "dest_nb", "dest_mc", "link", "req_d", "rsp_d",
+                 "pkt", "addr", "length", "t0", "ser_req", "t_r", "ser_rsp",
+                 "rsp", "_e1", "_e3", "_getter", "_resp_port", "_demoted")
 
     @classmethod
-    def plan(cls, nb, port, pkt, addr, length, response):
+    def plan(cls, nb, port, pkt, addr, length):
         """Promote when every resource the macro path bypasses is
         quiescent and the response provably routes straight back over the
         same link; otherwise return None (per-packet path).
@@ -399,26 +513,18 @@ class ReadFlow:
         from ..opteron.northbridge import MasterAbort, RouteKind
 
         binding = nb.chip.ports.get(port)
-        if binding is None:
+        if binding is None or nb._m.enabled:
             return None
         link = binding.link
-        if (link.state != "active" or link._ber > 0 or link.tracer.enabled
-                or nb._m.enabled):
-            return None
         req_d = link._dirs[binding.side]
         rsp_side = "B" if binding.side == "A" else "A"
         rsp_d = link._dirs[rsp_side]
         for d in (req_d, rsp_d):
-            if d._train is not None or d._flow is not None:
-                return None
-            if d.phy._in_use or d.phy._waiters:
+            if not cls.quiescent(d):
                 return None
             if d.rx._items or len(d.rx._getters) != 1:
                 return None
-            for vc, q in d.txq.items():
-                if q._items or len(q._getters) != 1:
-                    return None
-                cred = d.credits[vc]
+            for cred in d.credits.values():
                 if cred._credits != cred.initial:
                     return None
         dest_chip = link.attached.get(rsp_side)
@@ -442,14 +548,12 @@ class ReadFlow:
         if rb is None or rb.link is not link or rb.side != rsp_side:
             return None
         return cls(nb, link, req_d, rsp_d, dest_nb, resp_port, pkt, addr,
-                   length, response)
+                   length)
 
     def __init__(self, nb, link, req_d, rsp_d, dest_nb, resp_port, pkt,
-                 addr, length, response):
-        from .engine import MacroEntry
-
+                 addr, length):
         sim = nb.sim
-        self.sim = sim
+        super().__init__(sim)
         self.nb = nb
         self.dest_nb = dest_nb
         self.dest_mc = dest_nb.chip.memctrl
@@ -459,23 +563,20 @@ class ReadFlow:
         self.pkt = pkt
         self.addr = addr
         self.length = length
-        self.response = response
         self.t0 = sim._now
         self.ser_req = link.serialization_ns(pkt)
-        self.t_d1 = self.t0 + self.ser_req + link.propagation_ns
-        self.t_issue = self.t_d1 + nb.timing.nb_request_ns
         self.t_r = None
         self.ser_rsp = None
         self.rsp = None
         self._getter = None
         self._resp_port = resp_port
         self._demoted = False
-        self._done = False
-        req_d._flow = self
-        rsp_d._flow = self
+        self._claim(req_d, rsp_d)
         self._e1 = MacroEntry(sim)
         self._e3 = MacroEntry(sim)
-        self._e1.arm(self.t_issue, self._issue, None)
+        t_issue = (self.t0 + self.ser_req + link.propagation_ns
+                   + nb.timing.nb_request_ns)
+        self._e1.arm(t_issue, self._issue, None)
 
     # -- macro path ---------------------------------------------------------
     def _issue(self, _=None) -> None:
@@ -483,8 +584,7 @@ class ReadFlow:
         crossbar -- steal the responder's rx loop for its per-packet busy
         window and issue the real DRAM read."""
         self._e1.fired()
-        if self._getter is None:
-            self._getter = self.req_d.rx._getters.popleft()
+        self._steal_getter(self.req_d.rx)
         ev = self.dest_mc.read(self.dest_nb._local_offset(self.addr),
                                self.length, uncached=False)
         ev.add_callback(self._mc_done)
@@ -521,19 +621,24 @@ class ReadFlow:
         nb.counters.inc("rx_reads")
         self._restore_getter(self.req_d.rx)
 
+    def _steal_getter(self, rx) -> None:
+        """Hold ``rx``'s parked rx loop busy (see :func:`_unpark`)."""
+        if self._getter is None and rx._getters:
+            self._getter = rx._getters.popleft()
+
     def _restore_getter(self, rx) -> None:
-        if self._getter is not None:
-            rx._getters.appendleft(self._getter)
+        getter = self._getter
+        if getter is not None:
             self._getter = None
-            rx._wake_getter()
+            _unpark(rx, getter)
 
     def _complete(self, _=None) -> None:
         """E3 (t_done): response consumed and matched at the requester."""
         self._e3.fired()
         if not self._demoted:
-            self._apply_req_stats()
-            self._apply_rsp_stats()
-        self._detach()
+            _account_tx(self.req_d, self.pkt, self.ser_req)
+            _account_tx(self.rsp_d, self.rsp, self.ser_rsp)
+        self._close()
         nb = self.nb
         ev = nb.tags.match(self.pkt.srctag)
         nb._pending_reads.pop(self.pkt.srctag, None)
@@ -542,127 +647,56 @@ class ReadFlow:
         nb.counters.inc("responses_matched")
         self._restore_getter(self.rsp_d.rx)
 
-    # -- bookkeeping --------------------------------------------------------
-    def _apply_req_stats(self) -> None:
-        s = self.req_d.stats
-        s.packets += 1
-        s.payload_bytes += len(self.pkt.data)
-        s.wire_bytes += self.pkt.wire_bytes(self.link._crc_bytes)
-        s.busy_ns += self.ser_req
-
-    def _apply_rsp_stats(self) -> None:
-        s = self.rsp_d.stats
-        s.packets += 1
-        s.payload_bytes += len(self.rsp.data)
-        s.wire_bytes += self.rsp.wire_bytes(self.link._crc_bytes)
-        s.busy_ns += self.ser_rsp
-
-    def _detach(self) -> None:
-        self._done = True
-        if self.req_d._flow is self:
-            self.req_d._flow = None
-        if self.rsp_d._flow is self:
-            self.rsp_d._flow = None
-
     # -- demotion -----------------------------------------------------------
-    def _replay_tx(self, d, pkt, ser_end, ser) -> None:
-        """Reconstruct a packet mid-serialization: hold the phy to the
-        exact end instant, then deliver (link up) or hand the packet to
-        the pump for the per-packet NAK dance (link died mid-wire).  The
-        caller has already taken the packet's credit."""
-        sim = self.sim
-        d.phy.try_acquire()
-
-        def _end(_=None):
-            link = self.link
-            stats = d.stats
-            stats.busy_ns += ser
-            d.phy.release()
-            if link.state == "active":
-                stats.packets += 1
-                stats.payload_bytes += len(pkt.data)
-                stats.wire_bytes += pkt.wire_bytes(link._crc_bytes)
-                sim._push(sim._now + link.propagation_ns, d._deliver,
-                          (pkt, pkt.vc))
-            else:
-                d.credits[pkt.vc].give()
-                q = d.txq[pkt.vc]
-                q.unget(pkt)
-                q._wake_getter()
-
-        sim._push(ser_end, _end, None)
-
-    def abort(self, T: float) -> None:
-        """Demote at instant ``T``: make the per-packet state real for
-        whatever phase the read is in and let the ordinary machinery
-        finish the job."""
-        if self._done:
-            return
+    def _demote(self, T: float) -> None:
+        """Make the per-packet state real for whatever phase the read is
+        in at ``T`` and let the ordinary machinery finish the job."""
         from ..obs.metrics import flow_counters
 
         flow_counters(self.sim).read_demotions += 1
         self.nb._read_flow_port = None
-        self._detach()
-        sim = self.sim
-        pkt = self.pkt
         if self._e1.armed:
-            # Request on the wire or inside the responder crossbar.
-            if T < self.t0 + self.ser_req:
-                self._e1.cancel()
-                self.req_d.credits[pkt.vc].try_take()
-                self._replay_tx(self.req_d, pkt, self.t0 + self.ser_req,
-                                self.ser_req)
-            elif T < self.t_d1:
-                self._e1.cancel()
-                self._apply_req_stats()
-                self.req_d.credits[pkt.vc].try_take()
-                sim._push(self.t_d1, self.req_d._deliver, (pkt, pkt.vc))
-            else:
-                # Consumed by the responder's rx loop, crossbar latency in
-                # progress: keep E1 (it issues the DRAM read at the exact
-                # per-packet instant) but steal the rx loop now -- the
-                # per-packet loop is busy from t_d1 on.
-                self._apply_req_stats()
-                if self._getter is None:
-                    self._getter = self.req_d.rx._getters.popleft()
-                self._demoted = True
+            self._demote_leg(self._e1, self.req_d, self.pkt, self.t0,
+                             self.ser_req, T)
             return
+        _account_tx(self.req_d, self.pkt, self.ser_req)
         if self.t_r is None:
             # DRAM read in flight: _mc_done will route the response for
             # real (rx loop stays stolen until then, as per-packet).
-            self._apply_req_stats()
             self._demoted = True
-            return
-        if not self._e3.armed:
-            return
-        self._apply_req_stats()
-        rsp = self.rsp
-        t_d2 = self.t_r + self.ser_rsp + self.link.propagation_ns
-        if T < self.t_r + self.ser_rsp:
-            self._e3.cancel()
-            self.rsp_d.credits[rsp.vc].try_take()
-            self._replay_tx(self.rsp_d, rsp, self.t_r + self.ser_rsp,
-                            self.ser_rsp)
-        elif T < t_d2:
-            self._e3.cancel()
-            self._apply_rsp_stats()
-            self.rsp_d.credits[rsp.vc].try_take()
-            sim._push(t_d2, self.rsp_d._deliver, (rsp, rsp.vc))
         else:
-            # Response consumed at the requester, crossbar latency in
-            # progress: E3 stays (its instant is exact); the requester rx
-            # loop is busy until then, so steal it for the window.
-            self._apply_rsp_stats()
-            self._demoted = True
-            if self._getter is None and self.rsp_d.rx._getters:
-                self._getter = self.rsp_d.rx._getters.popleft()
+            self._demote_leg(self._e3, self.rsp_d, self.rsp, self.t_r,
+                             self.ser_rsp, T)
+
+    def _demote_leg(self, entry, d, pkt, t_start, ser, T) -> None:
+        """Demote the leg (request or response) in flight at ``T``: its
+        packet started serializing on ``d`` at ``t_start`` and ``entry``
+        stands for the receiving end."""
+        t_end = t_start + ser
+        t_arrive = t_end + self.link.propagation_ns
+        if T < t_arrive:
+            entry.cancel()
+            d.credits[pkt.vc].try_take()
+            if T < t_end:
+                d.phy.try_acquire()
+                _finish_serialization(d, pkt, t_end, ser)
+            else:
+                _account_tx(d, pkt, ser)
+                self.sim._push(t_arrive, d._deliver, (pkt, pkt.vc))
+            return
+        # Consumed by the receiving rx loop, crossbar latency in progress:
+        # ``entry`` stays (its instant is exact), but the per-packet loop
+        # is busy from the arrival on -- steal it for the window.
+        _account_tx(d, pkt, ser)
+        self._demoted = True
+        self._steal_getter(d.rx)
 
 
 # ---------------------------------------------------------------------------
 # Multi-hop forwarding
 # ---------------------------------------------------------------------------
 
-class ForwardFlow:
+class ForwardFlow(MacroWindow):
     """Absorb a uniform run of same-route posted packets at an
     intermediate supernode without waking its rx loop or transmit pump
     per packet.
@@ -696,34 +730,25 @@ class ForwardFlow:
 
     absorbs = True
 
-    __slots__ = ("sim", "nb", "d_in", "link_in", "d_out", "link_out",
-                 "out_port", "fwd", "ser_out", "wire", "_phy_held",
-                 "_last_end", "_last_arrival", "_rel_seq", "_pending",
-                 "_done")
+    __slots__ = ("nb", "d_in", "link_in", "d_out", "link_out", "out_port",
+                 "fwd", "ser_out", "wire", "_phy_held", "_last_end",
+                 "_last_arrival", "_rel", "_pending")
 
     @classmethod
     def eligible(cls, nb, d_in, binding_out, pkt0) -> bool:
         link_out = binding_out.link
         link_in = d_in.link
-        if (link_out.state != "active" or link_out._ber > 0
-                or link_out.tracer.enabled or link_in.tracer.enabled
-                or nb._m.enabled):
+        if (link_in.tracer.enabled or nb._m.enabled
+                or d_in._macro is not None):
             return False
         if link_out._rate != link_in._rate:
             return False
         if link_in.serialization_ns(pkt0) < nb.timing.nb_forward_ns:
             return False
         d_out = link_out._dirs[binding_out.side]
-        if d_out._train is not None or d_out._flow is not None:
+        if not cls.quiescent(d_out):
             return False
-        if d_in._train is not None or d_in._flow is not None:
-            return False
-        if d_out.phy._in_use or d_out.phy._waiters:
-            return False
-        for vc, q in d_out.txq.items():
-            if q._items or len(q._getters) != 1:
-                return False
-            cred = d_out.credits[vc]
+        for cred in d_out.credits.values():
             if cred._credits != cred.initial:
                 return False
         # Called from inside the hop's rx loop (it is running, not
@@ -738,7 +763,7 @@ class ForwardFlow:
         from ..obs.metrics import flow_counters
 
         sim = nb.sim
-        self.sim = sim
+        super().__init__(sim)
         self.nb = nb
         self.d_in = d_in
         self.link_in = d_in.link
@@ -748,32 +773,38 @@ class ForwardFlow:
         self.fwd = nb.timing.nb_forward_ns
         self.ser_out = self.link_out.serialization_ns(pkt0)
         self.wire = pkt0.wire_bytes(self.link_in._crc_bytes)
-        self._phy_held = False
         # The trigger packet arrived one forward latency ago (the rx loop
         # just finished its busy window for it).
         self._last_arrival = sim._now - self.fwd
-        self._rel_seq = None
-        #: (pkt, depart_start, depart_end) not yet past serialization.
+        self._phy_held = False
+        self._rel = MacroEntry(sim)
+        #: (pkt, depart_start, depart_end, delivery entry) not yet past
+        #: serialization.
         self._pending = []
-        self._done = False
-        d_in._flow = self
-        self.d_out._flow = self
-        fl = flow_counters(sim)
-        fl.forward_windows += 1
+        self._claim(d_in, self.d_out)
+        flow_counters(sim).forward_windows += 1
         # Absorb the trigger itself: the direction was fully quiescent, so
         # the per-packet pump would pop it at this very instant -- take
         # its credit and serializer window here instead.
-        now = sim._now
         self.d_out.credits[pkt0.vc].try_take()
-        self.d_out.phy.try_acquire()
-        self._phy_held = True
-        e = now + self.ser_out
+        self._depart(pkt0, sim._now)
+
+    def _depart(self, pkt, s: float) -> None:
+        """Serialize ``pkt`` on the out link from ``s`` (phy held across
+        the chain) and book its speculative delivery at the next hop."""
+        from ..obs.metrics import flow_counters
+
+        e = s + self.ser_out
         self._last_end = e
-        seq = sim._push_cancellable(e + self.link_out.propagation_ns,
-                                    self._deliver_one, (pkt0,))
-        self._pending.append((pkt0, now, e, seq))
-        fl.forward_packets += 1
-        self._rel_seq = sim._push_cancellable(e, self._maybe_release, None)
+        if not self._phy_held:
+            self.d_out.phy.try_acquire()
+            self._phy_held = True
+        ent = MacroEntry(self.sim)
+        ent.arm(e + self.link_out.propagation_ns, self._deliver_one, (pkt,))
+        self._pending.append((pkt, s, e, ent))
+        flow_counters(self.sim).forward_packets += 1
+        if not self._rel.armed:
+            self._rel.arm(e, self._maybe_release, None)
 
     def wants(self, pkt) -> bool:
         from ..ht.packet import Command
@@ -803,36 +834,22 @@ class ForwardFlow:
         """Called by the in-direction's delivery point.  True: absorbed.
         False: the flow demoted itself first and the packet must take the
         ordinary delivery path."""
-        from ..obs.metrics import flow_counters
-
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         if not self.wants(pkt):
-            self.abort(now)
+            self.demote(now)
             return False
         if not self.d_out.credits[pkt.vc].try_take():
             # Pool drained (credit theft / slow next hop): the per-packet
             # pump would stall here -- demote and let it.
-            self.abort(now)
+            self.demote(now)
             return False
         self.d_in.credits[pkt.vc].give()        # rx-loop consumption
         self._last_arrival = now
         s = now + self.fwd
         if s < self._last_end:
             s = self._last_end
-        e = s + self.ser_out
-        self._last_end = e
-        if not self._phy_held:
-            self.d_out.phy.try_acquire()
-            self._phy_held = True
-        seq = sim._push_cancellable(e + self.link_out.propagation_ns,
-                                    self._deliver_one, (pkt,))
-        self._pending.append((pkt, s, e, seq))
+        self._depart(pkt, s)
         self.nb.counters.inc("forwarded")
-        flow_counters(sim).forward_packets += 1
-        if self._rel_seq is None:
-            self._rel_seq = sim._push_cancellable(e, self._maybe_release,
-                                                  None)
         return True
 
     def _deliver_one(self, pkt) -> None:
@@ -840,95 +857,54 @@ class ForwardFlow:
         its serialization end, applied lazily here) and hand it over."""
         pend = self._pending
         if pend and pend[0][0] is pkt:
-            pend.pop(0)
-        stats = self.d_out.stats
-        stats.packets += 1
-        stats.payload_bytes += len(pkt.data)
-        stats.wire_bytes += pkt.wire_bytes(self.link_out._crc_bytes)
-        stats.busy_ns += self.ser_out
+            pend.pop(0)[3].fired()
+        _account_tx(self.d_out, pkt, self.ser_out)
         self.d_out._deliver(pkt, pkt.vc)
 
     def _maybe_release(self, _=None) -> None:
         """Serializer-chain end: release the phy exactly when the
         per-packet pump would go idle, re-arming while the chain keeps
-        extending; a fully drained flow closes itself."""
-        self._rel_seq = None
-        if self._done:
-            return
-        now = self.sim._now
-        if self._last_end > now:
-            self._rel_seq = self.sim._push_cancellable(
-                self._last_end, self._maybe_release, None)
+        extending; a fully drained flow closes itself (on-cable
+        deliveries stand)."""
+        self._rel.fired()
+        if self._last_end > self.sim._now:
+            self._rel.arm(self._last_end, self._maybe_release, None)
             return
         if self._phy_held:
             self.d_out.phy.release()
             self._phy_held = False
         if not self._pending:
-            self.close()
+            self._close()
 
-    def close(self) -> None:
-        """Quiet shutdown (chain drained): on-cable deliveries stand."""
-        if self._done:
-            return
-        self._done = True
-        self._release_dirs()
-        if self._rel_seq is not None:
-            self.sim._cancel(self._rel_seq)
-            self._rel_seq = None
-        if self._phy_held:
-            if self._last_end <= self.sim._now:
-                self.d_out.phy.release()
-                self._phy_held = False
-            else:
-                self.sim._push(self._last_end, self._final_release, None)
-
-    def _release_dirs(self) -> None:
-        if self.d_in._flow is self:
-            self.d_in._flow = None
-        if self.d_out._flow is self:
-            self.d_out._flow = None
-
-    def _final_release(self, _=None) -> None:
-        if self._phy_held:
-            self.d_out.phy.release()
-            self._phy_held = False
-
-    def abort(self, T: float) -> None:
-        """Demote: reconstruct the out direction's per-packet state and
-        the rx loop's residual busy window."""
-        if self._done:
-            return
+    def _demote(self, T: float) -> None:
+        """Reconstruct the out direction's per-packet state and the rx
+        loop's residual busy window."""
         from ..obs.metrics import flow_counters
 
         flow_counters(self.sim).forward_demotions += 1
-        self._done = True
-        self._release_dirs()
         sim = self.sim
-        if self._rel_seq is not None:
-            sim._cancel(self._rel_seq)
-            self._rel_seq = None
-        inflight_end = None
-        for pkt, s, e, seq in self._pending:
+        d_out = self.d_out
+        self._rel.cancel()
+        inflight = False
+        for pkt, s, e, ent in self._pending:
             if e <= T:
                 continue                    # on the cable: entry stands
-            sim._cancel(seq)
+            ent.cancel()
             if s <= T:
                 # Mid-serialization: complete the window with the phy
                 # held; the entry at its end delivers or replays the NAK
                 # dance per the link state *then* (exactly the pump).
-                inflight_end = e
-                self._finish_inflight(pkt, e)
+                inflight = True
+                _finish_serialization(d_out, pkt, e, self.ser_out)
             else:
                 # Not yet popped by the pump: hand it back at the exact
                 # per-packet pop instant.
-                self.d_out.credits[pkt.vc].give()
-                sim._push(s, self._repump, (pkt,))
+                d_out.credits[pkt.vc].give()
+                sim._push(s, _repump, (d_out, pkt))
         self._pending = []
-        if self._phy_held:
-            if inflight_end is None:
-                self.d_out.phy.release()
-                self._phy_held = False
-            # else: _finish_inflight releases at the window end.
+        if self._phy_held and not inflight:
+            d_out.phy.release()
+        self._phy_held = False
         # The rx loop would still be busy with the last absorbed packet's
         # crossbar latency: steal its parked getter until the window
         # closes so a chasing foreign delivery queues exactly as it
@@ -936,40 +912,4 @@ class ForwardFlow:
         t_busy = self._last_arrival + self.fwd
         rx = self.d_in.rx
         if t_busy > T and rx._getters:
-            getter = rx._getters.popleft()
-
-            def _unpark(_=None):
-                rx._getters.appendleft(getter)
-                rx._wake_getter()
-
-            sim._push(t_busy, _unpark, None)
-
-    def _finish_inflight(self, pkt, ser_end) -> None:
-        sim = self.sim
-
-        def _end(_=None):
-            link = self.link_out
-            stats = self.d_out.stats
-            stats.busy_ns += self.ser_out
-            if self._phy_held:
-                self.d_out.phy.release()
-                self._phy_held = False
-            if link.state == "active":
-                stats.packets += 1
-                stats.payload_bytes += len(pkt.data)
-                stats.wire_bytes += pkt.wire_bytes(link._crc_bytes)
-                sim._push(sim._now + link.propagation_ns,
-                          self.d_out._deliver, (pkt, pkt.vc))
-            else:
-                self.d_out.credits[pkt.vc].give()
-                q = self.d_out.txq[pkt.vc]
-                q.unget(pkt)
-                q._wake_getter()
-
-        sim._push(ser_end, _end, None)
-
-    def _repump(self, pkt) -> None:
-        q = self.d_out.txq[pkt.vc]
-        q.unget(pkt)
-        q._wake_getter()
-
+            sim._push(t_busy, _unpark, (rx, rx._getters.popleft()))

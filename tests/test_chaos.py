@@ -424,8 +424,8 @@ def test_chaos_sweep(seed, fidelity):
 # first TransportError -- this one models an application that *retries*:
 # crash windows are drawn longer than the send deadline, so the sender's
 # peer-dead verdict is guaranteed to fire and recovery must go through
-# the in-band HELLO/HELLO-ACK session handshake.  No test here ever
-# calls the deprecated ``Endpoint.revive()``.
+# the in-band HELLO/HELLO-ACK session handshake, the only reconnect
+# path the message library has.
 # ---------------------------------------------------------------------------
 
 REJOIN_MSGS = 40
@@ -583,7 +583,7 @@ def test_rejoin_chaos_replays_identically():
 @pytest.mark.parametrize("seed", range(50))
 def test_rejoin_chaos_sweep(seed):
     """The acceptance sweep: 50 seeded crash/rejoin plans under
-    sustained load, all oracles, zero manual ``revive()`` calls."""
+    sustained load, all oracles, recovery through the handshake alone."""
     out = run_rejoin_chaos(seed)
     check_rejoin_oracles(out)
 

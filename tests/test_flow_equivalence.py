@@ -255,7 +255,7 @@ def run_read_exchange(fast, nlines=24, kind=None, t_off=None):
             link.ber = 0.0
         elif kind == "stall":
             # Credit theft (the injector's CREDIT_STALL), inline.
-            link._abort_trains()
+            link.demote_macros()
             stolen = []
             for d in link._dirs.values():
                 for pool in d.credits.values():
@@ -423,7 +423,7 @@ def run_forward_exchange(fast, nmsgs=2, kind=None, t_off=None,
             l12.ber = 1e-6
             l12.ber = 0.0
         elif kind == "stall":
-            l12._abort_trains()
+            l12.demote_macros()
             stolen = []
             for d in l12._dirs.values():
                 for pool in d.credits.values():
@@ -525,3 +525,89 @@ def test_forward_demotion_fuzz_oracle_deep(seed):
             assert_forward_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
             raise AssertionError(f"kind={kind} t_off={t_off}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Fault oracle: a reliable msglib stream across a link flap or a crash
+# ---------------------------------------------------------------------------
+
+def run_fault_stream(fast, topo, plan, cfg, nmsgs=240, msg_bytes=256):
+    """A reliable rank 0 -> rank 1 stream of ``nmsgs`` messages under the
+    fault ``plan``; the sender retries a send that hits its deadline and
+    the receiver drops duplicates by message index.  Returns the end
+    time and whether every message arrived once, in order."""
+    from repro.faults import FaultInjector
+    from repro.msglib import TransportError
+
+    sys_ = TCClusterSystem(topo, msg_cfg=MsgConfig(**cfg),
+                           memory_bytes=64 * MiB)
+    sys_.sim.features.flow_fidelity = fast
+    sys_.boot()
+    sim = sys_.sim
+    FaultInjector(sys_.cluster, plan).arm(on_conflict="skip")
+    tx_ep, rx_ep = sys_.connect(0, 1)
+    rng = random.Random(0xFA17)
+    msgs = [i.to_bytes(4, "little") + rng.randbytes(msg_bytes - 4)
+            for i in range(nmsgs)]
+    got = []
+
+    def tx():
+        for m in msgs:
+            for _ in range(8):
+                try:
+                    yield from tx_ep.send(m)
+                    break
+                except TransportError:
+                    pass
+
+    def rx():
+        while len(got) < len(msgs):
+            try:
+                m = yield from rx_ep.recv()
+            except TransportError:
+                continue
+            if int.from_bytes(m[:4], "little") == len(got):
+                got.append(m)
+
+    ps = [sim.process(tx()), sim.process(rx())]
+    sim.run_until_event(sim.all_of(ps))
+    return dict(t_end=sim.now, delivered=got == msgs,
+                slot_windows=flow_counters(sim).slot_windows)
+
+
+def _fault_stream_cases():
+    from repro.faults import FaultKind, FaultPlan
+    from repro.topology import chain, ring
+
+    reliable = dict(send_deadline_ns=1e7, recv_deadline_ns=4e7)
+    crash = dict(send_deadline_ns=2e5, recv_deadline_ns=5e5)
+    flap = FaultPlan().add(8_000.0, FaultKind.LINK_FLAP, 0,
+                           duration_ns=20_000.0)
+    why = ("slot spans ride a BulkTrain whose demotion on bring_down is "
+           "not exact: ")
+    return [
+        pytest.param(chain(2), flap, reliable, id="flap.chain2",
+                     marks=pytest.mark.xfail(strict=True, reason=why + (
+                         "ends at 222147.75 ns with flows vs 222146.75 ns "
+                         "per-packet"))),
+        pytest.param(ring(3), flap, reliable, id="flap.ring3",
+                     marks=pytest.mark.xfail(strict=True, reason=why + (
+                         "ends at 222157.75 ns with flows vs 222156.75 ns "
+                         "per-packet"))),
+        pytest.param(chain(2),
+                     FaultPlan().add(2_000.0, FaultKind.NODE_CRASH, 1)
+                                .add(400_000.0, FaultKind.NODE_WARM_RESET, 1),
+                     crash, id="crash.chain2",
+                     marks=pytest.mark.xfail(strict=True, reason=why + (
+                         "ends at 623006.75 ns with flows vs 623201.5 ns "
+                         "per-packet"))),
+    ]
+
+
+@pytest.mark.parametrize("topo,plan,cfg", _fault_stream_cases())
+def test_fault_stream_matches_per_packet(topo, plan, cfg):
+    slow = run_fault_stream(False, topo, plan, cfg)
+    fast = run_fault_stream(True, topo, plan, cfg)
+    assert slow["delivered"] and fast["delivered"]
+    assert fast["slot_windows"] >= 1, "slot coalescing never engaged"
+    assert slow["t_end"] == fast["t_end"]

@@ -3,11 +3,8 @@
 The chaos harness (``test_chaos.py``) proves the end-to-end property;
 these tests pin the individual contracts: the HELLO/feedback wire
 format, the lost-volatile-state model of ``crash_node``, the epoch
-handshake itself, the deprecated ``revive()`` escape hatch, and the
-injector's up-front plan validation.
+handshake itself, and the injector's up-front plan validation.
 """
-
-import warnings
 
 import pytest
 
@@ -31,8 +28,8 @@ CFG = dict(send_deadline_ns=2e5, recv_deadline_ns=5e5,
            retransmit_base_ns=50_000.0)
 
 
-def _pair(session_handshake: bool = True):
-    cfg = MsgConfig(session_handshake=session_handshake, **CFG)
+def _pair():
+    cfg = MsgConfig(**CFG)
     cl = TCCluster(chain(2), msg_cfg=cfg, memory_bytes=64 * MiB).boot()
     return cl, cl.library(0).connect(1), cl.library(1).connect(0)
 
@@ -129,8 +126,8 @@ def test_crash_discard_drops_unacked_retransmit_images():
 
 def test_handshake_resynchronizes_after_crash_rejoin():
     """Crash the receiver long enough to expire the send deadline; the
-    sender's retry must resynchronize via HELLO/HELLO-ACK with zero
-    ``revive()`` calls and deliveries must resume gap-free."""
+    sender's retry must resynchronize via HELLO/HELLO-ACK on its own
+    and deliveries must resume gap-free."""
     cl, ep_a, ep_b = _pair()
     # The crash must land mid-stream (one message costs ~600 ns here).
     plan = (FaultPlan()
@@ -196,56 +193,6 @@ def test_reconnect_times_out_with_session_reset_when_peer_stays_dead():
     # the handshake against a dead peer and surfaces SessionReset.
     assert box["value"] == ["expired", "reset"]
     assert ep_a.peer_dead
-
-
-def test_handshake_disabled_requires_deprecated_revive():
-    """The legacy escape hatch: with ``session_handshake=False`` a dead
-    session fails fast and only a manual ``revive()`` (now deprecated)
-    reopens it.  ``revive`` keeps the cursors, so it only works for an
-    endpoint that attempted nothing while the peer was down -- the
-    contract the handshake exists to remove."""
-    cl, ep_a, ep_b = _pair(session_handshake=False)
-    cl.crash_node(1)
-    # The victim's own endpoint knows immediately (crash_discard).
-    assert ep_b.peer_dead
-
-    def dead():
-        try:
-            yield from ep_b.send(b"z" * 64)
-        except TransportError as exc:
-            return str(exc)
-
-    msg = _drive(cl, dead, horizon_ns=5e6)["value"]
-    assert msg and "handshake disabled" in msg
-
-    def rejoin():
-        yield from cl.rejoin_node(1)
-
-    _drive(cl, rejoin, horizon_ns=5e6)
-    with pytest.warns(DeprecationWarning):
-        ep_b.revive()
-    assert not ep_b.peer_dead
-
-    got = []
-
-    def resumed_rx():
-        data = yield from ep_a.recv()
-        got.append(data)
-
-    def resumed_tx():
-        yield from ep_b.send(b"w" * 64)
-
-    cl.sim.process(resumed_rx(), name="resumed-rx")
-    _drive(cl, resumed_tx, horizon_ns=5e6)
-    assert got == [b"w" * 64]
-
-
-def test_revive_warns_even_when_session_is_healthy():
-    _, ep_a, _ = _pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DeprecationWarning):
-            ep_a.revive()
 
 
 # ---------------------------------------------------------------------------
