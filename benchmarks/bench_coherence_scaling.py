@@ -16,14 +16,6 @@ NODES = (2, 4, 8, 16, 32, 64)
 
 @pytest.fixture(scope="module")
 def scaling_points():
-    from repro.sim.parallel import resolve_jobs
-
-    jobs = resolve_jobs()
-    if jobs > 1:
-        from repro.bench.sweep_points import run_coherence_scaling_parallel
-
-        return run_coherence_scaling_parallel(
-            node_counts=NODES, ops_per_node=40, jobs=jobs)
     return run_coherence_scaling(node_counts=NODES, ops_per_node=40)
 
 

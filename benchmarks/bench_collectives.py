@@ -74,17 +74,6 @@ QUICK_SPECS = (
 )
 
 
-def run_sweep(shape, specs, baselines, jobs, timeout):
-    from repro.bench.sweep_points import run_collectives_sweep_parallel
-
-    t0 = time.perf_counter()
-    points = run_collectives_sweep_parallel(
-        specs, shape=shape, baselines=baselines,
-        nic_nranks=shape[0] * shape[1], jobs=jobs, timeout=timeout)
-    wall = time.perf_counter() - t0
-    return points, wall
-
-
 def check_acceptance(points, size=1 * MiB):
     """The PR's perf gate: bandwidth algorithms beat binomial >=2x at
     ``size`` on the torus cluster, single-hop ring, spans engaged."""
@@ -148,11 +137,12 @@ def main(argv=None) -> int:
                     help="record the sweep without asserting acceptance")
     ap.add_argument("--jobs", default=None,
                     help="worker processes (default: TCC_PARALLEL or 4; "
-                    "0/'auto' = all cores)")
+                    "0/'auto' = usable CPUs)")
     ap.add_argument("--timeout", type=float, default=None,
                     help="per-point timeout in seconds")
     args = ap.parse_args(argv)
 
+    from repro.bench.sweep_points import run_collectives_sweep
     from repro.sim.parallel import resolve_jobs
 
     jobs = resolve_jobs(args.jobs) if args.jobs is not None else (
@@ -161,7 +151,11 @@ def main(argv=None) -> int:
     shape = QUICK_SHAPE if args.quick else SHAPE
     specs = QUICK_SPECS if args.quick else FULL_SPECS
 
-    points, wall = run_sweep(shape, specs, ("connectx",), jobs, args.timeout)
+    t0 = time.perf_counter()
+    points = run_collectives_sweep(
+        specs, shape=shape, baselines=("connectx",),
+        nic_nranks=shape[0] * shape[1], jobs=jobs, timeout=args.timeout)
+    wall = time.perf_counter() - t0
 
     report = {
         "shape": list(shape),

@@ -23,16 +23,7 @@ SIZES = tuple(64 << i for i in range(0, 17))  # 64 B .. 4 MiB
 @pytest.fixture(scope="module")
 def fig6_points():
     # TCC_PARALLEL=N (or "auto") fans the 34 points out across N worker
-    # processes; per-point results are identical to the serial sweep
-    # (fresh booted prototypes reach the same drained quiescent state the
-    # serial sweep restores between points).
-    from repro.sim.parallel import resolve_jobs
-
-    jobs = resolve_jobs()
-    if jobs > 1:
-        from repro.bench.sweep_points import run_bandwidth_sweep_parallel
-
-        return run_bandwidth_sweep_parallel(sizes=SIZES, jobs=jobs)
+    # processes; per-point results do not depend on it.
     return run_bandwidth_sweep(sizes=SIZES)
 
 

@@ -13,13 +13,6 @@ from repro.bench import run_multihop, table
 
 @pytest.fixture(scope="module")
 def hop_points():
-    from repro.sim.parallel import resolve_jobs
-
-    jobs = resolve_jobs()
-    if jobs > 1:
-        from repro.bench.sweep_points import run_multihop_parallel
-
-        return run_multihop_parallel(iters=40, jobs=jobs)
     return run_multihop(iters=40)
 
 

@@ -324,14 +324,13 @@ def bench_fig6_full_sweep(jobs):
     *comparison* is skipped -- a wall-clock ratio there would measure
     pool overhead, not scale-out, and report a misleading ~1x "speedup".
     """
-    from repro.bench.microbench import DEFAULT_BW_SIZES
-    from repro.bench.sweep_points import run_bandwidth_sweep_parallel
+    from repro.bench.microbench import DEFAULT_BW_SIZES, run_bandwidth_sweep
     from repro.sim.parallel import usable_cpus
 
     usable = usable_cpus()
     sizes = tuple(DEFAULT_BW_SIZES)
     t0 = time.perf_counter()
-    serial = run_bandwidth_sweep_parallel(sizes=sizes, jobs=1)
+    serial = run_bandwidth_sweep(sizes=sizes, jobs=1)
     serial_wall = time.perf_counter() - t0
     out = {
         "points": len(serial),
@@ -352,7 +351,7 @@ def bench_fig6_full_sweep(jobs):
         return out
 
     t0 = time.perf_counter()
-    parallel = run_bandwidth_sweep_parallel(sizes=sizes, jobs=jobs)
+    parallel = run_bandwidth_sweep(sizes=sizes, jobs=jobs)
     parallel_wall = time.perf_counter() - t0
 
     assert [(p.size, p.mode, p.mbps) for p in serial] == \
@@ -778,7 +777,7 @@ def main(argv=None) -> int:
         "--jobs",
         default=None,
         help="worker processes for the fig6 full-sweep scenario "
-        "(default: TCC_PARALLEL or 4; 0/'auto' = all cores)",
+        "(default: TCC_PARALLEL or 4; 0/'auto' = usable CPUs)",
     )
     args = ap.parse_args(argv)
 

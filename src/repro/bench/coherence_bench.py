@@ -18,13 +18,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..coherence import CoherentSystem
 from ..sim import Simulator
+from ..sim.parallel import SweepPoint, sweep_values
 from ..util.calibration import TimingModel, DEFAULT_TIMING
 
-__all__ = ["CoherenceScalePoint", "run_coherence_scaling", "tcc_op_latency_ns"]
+__all__ = [
+    "CoherenceScalePoint",
+    "coherence_point",
+    "run_coherence_scaling",
+    "tcc_op_latency_ns",
+]
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,56 @@ def tcc_op_latency_ns(nodes: int, timing: TimingModel = DEFAULT_TIMING,
     return base_hrt_ns + avg_hops * per_hop_ns
 
 
+def coherence_point(
+    protocol: str,
+    nodes: int,
+    ops_per_node: int = 60,
+    shared_lines: int = 16,
+    write_fraction: float = 0.3,
+    seed: int = 1234,
+    timing: TimingModel = DEFAULT_TIMING,
+) -> CoherenceScalePoint:
+    """One (protocol, node count) point on its own Simulator: each node
+    performs a mixed read/write stream over a hot shared working set
+    plus private lines."""
+    sim = Simulator()
+    system = CoherentSystem(sim, nodes, protocol=protocol, timing=timing)
+    rng = random.Random(seed)
+    total_ops = nodes * ops_per_node
+
+    def node_workload(node, rng_seed):
+        local_rng = random.Random(rng_seed)
+        for _ in range(ops_per_node):
+            if local_rng.random() < 0.5:
+                addr = 64 * local_rng.randrange(shared_lines)
+            else:
+                addr = 64 * (1000 + node.node_id * 64
+                             + local_rng.randrange(8))
+            if local_rng.random() < write_fraction:
+                yield from node.write(addr, local_rng.randrange(1 << 30))
+            else:
+                yield from node.read(addr)
+
+    procs = [
+        sim.process(node_workload(node, rng.randrange(1 << 30)))
+        for node in system.nodes
+    ]
+    sim.run_until_event(sim.all_of(procs))
+    system.check_all_invariants()
+    probes = sum(nd.stats.probes_sent for nd in system.nodes)
+    # Nodes run concurrently, each issuing ops_per_node sequential
+    # operations; the mean per-op latency is the makespan divided by the
+    # per-node stream length.
+    return CoherenceScalePoint(
+        nodes=nodes,
+        protocol=protocol,
+        ops=total_ops,
+        avg_op_ns=sim.now / ops_per_node,
+        probes_per_op=probes / total_ops,
+        total_ns=sim.now,
+    )
+
+
 def run_coherence_scaling(
     node_counts: Sequence[int] = (2, 4, 8, 16, 32, 64),
     protocols: Sequence[str] = ("broadcast", "directory"),
@@ -55,55 +111,27 @@ def run_coherence_scaling(
     write_fraction: float = 0.3,
     seed: int = 1234,
     timing: TimingModel = DEFAULT_TIMING,
+    jobs: Optional[Any] = None,
+    timeout: Optional[float] = None,
 ) -> List[CoherenceScalePoint]:
-    """Each node performs a mixed read/write stream over a hot shared
-    working set plus private lines; reports mean latency per operation."""
-    points: List[CoherenceScalePoint] = []
-    for protocol in protocols:
-        for n in node_counts:
-            sim = Simulator()
-            system = CoherentSystem(sim, n, protocol=protocol, timing=timing)
-            rng = random.Random(seed)
-            total_ops = n * ops_per_node
-
-            def node_workload(node, rng_seed):
-                local_rng = random.Random(rng_seed)
-                for _ in range(ops_per_node):
-                    if local_rng.random() < 0.5:
-                        addr = 64 * local_rng.randrange(shared_lines)
-                    else:
-                        addr = 64 * (1000 + node.node_id * 64
-                                     + local_rng.randrange(8))
-                    if local_rng.random() < write_fraction:
-                        yield from node.write(addr, local_rng.randrange(1 << 30))
-                    else:
-                        yield from node.read(addr)
-
-            procs = [
-                sim.process(node_workload(node, rng.randrange(1 << 30)))
-                for node in system.nodes
-            ]
-            sim.run_until_event(sim.all_of(procs))
-            system.check_all_invariants()
-            probes = sum(nd.stats.probes_sent for nd in system.nodes)
-            # Nodes run concurrently, each issuing ops_per_node sequential
-            # operations; the mean per-op latency is the makespan divided
-            # by the per-node stream length.
-            points.append(
-                CoherenceScalePoint(
-                    nodes=n,
-                    protocol=protocol,
-                    ops=total_ops,
-                    avg_op_ns=sim.now / ops_per_node,
-                    probes_per_op=probes / total_ops,
-                    total_ns=sim.now,
-                )
-            )
-    # TCCluster equivalents.
+    """Mean per-operation latency for every (protocol, node count), then
+    the analytical TCCluster rows.  The simulated points are
+    :func:`coherence_point` calls through
+    :func:`~repro.sim.parallel.run_sweep` over ``jobs`` workers."""
+    points = [
+        SweepPoint(key=f"coh:{protocol}:{n}", fn=coherence_point,
+                   args=(protocol, n, ops_per_node, shared_lines,
+                         write_fraction, seed, timing))
+        for protocol in protocols
+        for n in node_counts
+    ]
+    # Biggest node counts dominate runtime; submit them first.
+    out = sweep_values(points, cost=lambda p: p.args[1], jobs=jobs,
+                       timeout=timeout)
     for n in node_counts:
         lat = tcc_op_latency_ns(n, timing)
-        points.append(
+        out.append(
             CoherenceScalePoint(n, "tccluster", n * ops_per_node, lat, 0.0,
                                 lat * ops_per_node)
         )
-    return points
+    return out

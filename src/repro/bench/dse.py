@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.parallel import PointPayload, SweepPoint, run_sweep
+from ..sim.parallel import SweepPoint, sweep_values
 from ..util.calibration import DEFAULT_TIMING
 from ..util.units import KiB
 from .microbench import _RawWindow
@@ -198,7 +198,7 @@ def dse_point(topology: str, width: int, gbit: float, wc: int, ring: int,
               bw_size: int = 256 * KiB, lat_size: int = 64,
               lat_iters: int = 20, measure_recovery: bool = True,
               flap_at_ns: float = 4_000.0,
-              flap_duration_ns: float = 3_000.0) -> PointPayload:
+              flap_duration_ns: float = 3_000.0) -> DsePoint:
     """Evaluate one grid point: restore the signature's boot image
     (never cold-boot when the cache is seeded), run the clean
     bandwidth+latency pair, then the paired fault run."""
@@ -227,14 +227,12 @@ def dse_point(topology: str, width: int, gbit: float, wc: int, ring: int,
                                      flap_duration_ns=flap_duration_ns)
         stall = max(0.0, faulted_ns - bw_ns)
 
-    point = DsePoint(
+    return DsePoint(
         topology, width, gbit, wc, ring,
         round(bw_size / (bw_ns / 1e9) / 1e6, 1),
         round(lat_ns, 2), round(stall, 1),
         ctr.restored - r0, ctr.built - b0,
     )
-    return PointPayload(point, {"boot_image.built": ctr.built - b0,
-                                "boot_image.restored": ctr.restored - r0})
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +322,8 @@ def run_dse(config: DseConfig = DseConfig(),
     first (one cold boot each); the images ride to the workers via the
     pool initializer and every point evaluation only restores.
     """
-    from ..cluster.snapshot import image_for
+    from ..cluster.snapshot import image_for, seed_image_cache
     from ..msglib import MsgConfig
-    from .sweep_points import _seed_images
 
     specs = config.specs()
     images = {}
@@ -343,19 +340,16 @@ def run_dse(config: DseConfig = DseConfig(),
               "measure_recovery": config.measure_recovery,
               "flap_at_ns": config.flap_at_ns,
               "flap_duration_ns": config.flap_duration_ns}
-    order = [f"dse:{t}:w{w}:g{g}:wc{wc}:r{ring}"
-             for t, w, g, wc, ring in specs]
-    points = [SweepPoint(key=key, fn=dse_point, args=spec, kwargs=kwargs)
-              for key, spec in zip(order, specs)]
+    points = [SweepPoint(key=f"dse:{t}:w{w}:g{g}:wc{wc}:r{ring}",
+                         fn=dse_point, args=(t, w, g, wc, ring),
+                         kwargs=kwargs)
+              for t, w, g, wc, ring in specs]
     # Widest links stream fastest but flap recovery dominates; schedule
     # big topologies first so they do not straggle.
-    points.sort(key=lambda p: _topology_of(p.args[0])[0].num_supernodes,
-                reverse=True)
-    report = run_sweep(points, jobs=jobs, timeout=timeout,
-                       worker_state=list(images.values()),
-                       worker_init=_seed_images)
-    by_key = {r.key: r.unwrap() for r in report.results}
-    out = [by_key[k] for k in order]
+    out = sweep_values(
+        points, cost=lambda p: _topology_of(p.args[0])[0].num_supernodes,
+        jobs=jobs, timeout=timeout,
+        worker_state=list(images.values()), worker_init=seed_image_cache)
     built = sum(p.builds for p in out)
     restored = sum(p.restores for p in out)
     return DseReport(

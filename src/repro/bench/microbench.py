@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import TCCluster
 from ..core import TCClusterSystem
 from ..kernel import UserProcess
+from ..sim.parallel import SweepPoint, run_sweep, sweep_values
 from ..util.calibration import TimingModel, DEFAULT_TIMING
 from ..util.units import CACHELINE, KiB, MiB, bandwidth_mbps
 
@@ -40,10 +41,11 @@ __all__ = [
     "run_bandwidth_sweep",
     "run_latency_sweep",
     "run_multihop",
+    "fig6_point",
+    "multihop_point",
     "DEFAULT_BW_SIZES",
     "DEFAULT_LAT_SIZES",
     "make_prototype",
-    "prototype_image",
 ]
 
 #: Figure 6's x axis: 64 B .. 4 MB in powers of two.
@@ -79,26 +81,9 @@ class HopPoint:
     hrt_ns: float
 
 
-def make_prototype(timing: TimingModel = DEFAULT_TIMING,
-                   image=None) -> TCClusterSystem:
-    """The booted two-board prototype all microbenchmarks run on.
-
-    When ``image`` (a :class:`~repro.cluster.snapshot.BootImage`) is given,
-    the system is restored from it instead of simulating the boot protocol;
-    restored state is bit-exact vs a cold boot of the same signature.
-    """
-    if image is not None:
-        return TCClusterSystem.from_image(image)
+def make_prototype(timing: TimingModel = DEFAULT_TIMING) -> TCClusterSystem:
+    """The booted two-board prototype all microbenchmarks run on."""
     return TCClusterSystem.two_board_prototype(timing=timing).boot()
-
-
-def prototype_image(timing: TimingModel = DEFAULT_TIMING):
-    """The (cached) boot image for the two-board prototype signature."""
-    from ..cluster.snapshot import image_for
-    from ..topology import chain
-
-    topo = chain(2, node=1, left_port=2, right_port=2)
-    return image_for(topo, nodes_per_supernode=2, timing=timing)
 
 
 class _RawWindow:
@@ -163,18 +148,35 @@ def run_bandwidth_sweep(
     modes: Sequence[str] = ("weak", "strict"),
     timing: TimingModel = DEFAULT_TIMING,
     system: Optional[TCClusterSystem] = None,
+    jobs: Optional[Any] = None,
+    timeout: Optional[float] = None,
 ) -> List[BandwidthPoint]:
-    """Reproduce Figure 6.  Measures store-retire bandwidth per size/mode."""
-    sys_ = system or make_prototype(timing)
-    cluster = sys_.cluster
+    """Reproduce Figure 6.  Measures store-retire bandwidth per size/mode.
+
+    With ``system``, every point is measured on that booted system in
+    order, draining the fabric between points.  Without it, each point
+    boots its own prototype (:func:`fig6_point`) through
+    :func:`~repro.sim.parallel.run_sweep`, fanned out over ``jobs``
+    workers (``TCC_PARALLEL``, else serial).  A fresh prototype is in the
+    same drained quiescent state a shared one returns to between points,
+    so both modes give bit-identical points.
+    """
+    for size in sizes:
+        if size % CACHELINE:
+            raise ValueError(f"size {size} not line aligned")
+    if system is None:
+        sweep = [SweepPoint(key=f"fig6:{mode}:{size}", fn=fig6_point,
+                            args=(size, mode, timing))
+                 for mode in modes for size in sizes]
+        return sweep_values(sweep, cost=lambda p: p.args[0], jobs=jobs,
+                            timeout=timeout)
+    cluster = system.cluster
     a = cluster.rank_of(0, 1)   # board0 node1 (owns the HTX port)
     b = cluster.rank_of(1, 1)
     win = _RawWindow(cluster, a, b)
     points: List[BandwidthPoint] = []
     for mode in modes:
         for size in sizes:
-            if size % CACHELINE:
-                raise ValueError(f"size {size} not line aligned")
             start = cluster.sim.now
             done = cluster.sim.process(_stream(win, size, mode))
             end = cluster.sim.run_until_event(done)
@@ -187,6 +189,13 @@ def run_bandwidth_sweep(
             cluster.sim.run_until_event(f)
             _drain(cluster)
     return points
+
+
+def fig6_point(size: int, mode: str,
+               timing: TimingModel = DEFAULT_TIMING) -> BandwidthPoint:
+    """One Figure 6 point on a fresh booted prototype (a sweep point)."""
+    return run_bandwidth_sweep((size,), (mode,),
+                               system=make_prototype(timing))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +281,32 @@ def run_latency_sweep(
 # Multi-hop latency (in-text claim)
 # ---------------------------------------------------------------------------
 
+#: Socket (chip index) bindings per extra-hop count.
+_HOP_BINDINGS: Tuple[Tuple[int, int], ...] = ((1, 1), (0, 1), (0, 0))
+
+
+def multihop_point(extra_hops: int, iters: int = 40, size: int = 64,
+                   timing: TimingModel = DEFAULT_TIMING) -> HopPoint:
+    """Ping-pong across ``extra_hops`` coherent hops on a fresh prototype."""
+    chip_a, chip_b = _HOP_BINDINGS[extra_hops]
+    cluster = make_prototype(timing).cluster
+    a = cluster.rank_of(0, chip_a)
+    b = cluster.rank_of(1, chip_b)
+    win_a = _RawWindow(cluster, a, b)
+    win_b = _RawWindow(cluster, b, a)
+    out: Dict = {}
+    cluster.sim.process(_echo(win_b, size, iters))
+    done = cluster.sim.process(_pingpong(win_a, win_b, size, iters, out))
+    cluster.sim.run_until_event(done)
+    return HopPoint(extra_hops, out["elapsed"] / (2 * iters))
+
+
 def run_multihop(
     iters: int = 40,
     size: int = 64,
     timing: TimingModel = DEFAULT_TIMING,
+    jobs: Optional[Any] = None,
+    timeout: Optional[float] = None,
 ) -> List[HopPoint]:
     """Ping-pong with processes bound to different sockets.
 
@@ -286,18 +317,11 @@ def run_multihop(
     * 0: node1 <-> node1 (both own the HTX-adjacent socket),
     * 1: node0 -> (coherent hop) -> node1 -> TCC -> node1,
     * 2: node0 -> coherent -> TCC -> coherent -> node0.
+
+    Each binding is one :func:`multihop_point` on its own prototype, run
+    through :func:`~repro.sim.parallel.run_sweep` over ``jobs`` workers.
     """
-    results: List[HopPoint] = []
-    for extra, (chip_a, chip_b) in enumerate([(1, 1), (0, 1), (0, 0)]):
-        sys_ = make_prototype(timing)
-        cluster = sys_.cluster
-        a = cluster.rank_of(0, chip_a)
-        b = cluster.rank_of(1, chip_b)
-        win_a = _RawWindow(cluster, a, b)
-        win_b = _RawWindow(cluster, b, a)
-        out: Dict = {}
-        cluster.sim.process(_echo(win_b, size, iters))
-        done = cluster.sim.process(_pingpong(win_a, win_b, size, iters, out))
-        cluster.sim.run_until_event(done)
-        results.append(HopPoint(extra, out["elapsed"] / (2 * iters)))
-    return results
+    points = [SweepPoint(key=f"hops:{extra}", fn=multihop_point,
+                         args=(extra, iters, size, timing))
+              for extra in range(len(_HOP_BINDINGS))]
+    return run_sweep(points, jobs=jobs, timeout=timeout).values()

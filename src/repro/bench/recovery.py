@@ -18,7 +18,7 @@ Two instruments live here, both feeding ``BENCH_reliability.json``:
   link flap, BER storm, credit stall, node crash + warm-reset rejoin, or
   a seeded random plan -- on a small booted cluster.  Each call is a
   fresh deterministic system, so the points are picklable units for the
-  parallel sweep runner (see ``repro.bench.sweep_points.recovery_point``).
+  parallel sweep runner (see :func:`run_recovery_figure`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..ht import Link, LinkSide, make_posted_write
 from ..sim import Simulator
+from ..sim.parallel import SweepPoint, sweep_values
 from ..util.units import MiB
 
 __all__ = [
@@ -419,16 +420,15 @@ RECOVERY_FIGURE_SPECS: List[Tuple[str, dict]] = (
 )
 
 
-def run_recovery_figure(jobs=None) -> dict:
-    """Compute the whole figure; parallel when ``jobs`` (or the
-    ``TCC_PARALLEL`` env) asks for it, serial otherwise.  Returns
-    ``{key: RecoveryPoint-as-dict}`` in spec order."""
-    if jobs is not None and jobs != 1:
-        from .sweep_points import run_recovery_sweep_parallel
-
-        pts = run_recovery_sweep_parallel(RECOVERY_FIGURE_SPECS, jobs=jobs)
-    else:
-        pts = [run_recovery_scenario(**kw) for _, kw in
-               RECOVERY_FIGURE_SPECS]
+def run_recovery_figure(jobs=None, timeout=None) -> dict:
+    """Compute the whole figure, one :func:`run_recovery_scenario` sweep
+    point per spec, over ``jobs`` workers (``TCC_PARALLEL``, else
+    serial).  Returns ``{key: RecoveryPoint-as-dict}`` in spec order."""
+    points = [SweepPoint(key=key, fn=run_recovery_scenario, kwargs=dict(kw))
+              for key, kw in RECOVERY_FIGURE_SPECS]
+    # The longest outages straggle; submit them first.
+    pts = sweep_values(
+        points, cost=lambda p: p.kwargs.get("duration_ns", 0.0),
+        jobs=jobs, timeout=timeout)
     return {key: p.as_dict()
             for (key, _), p in zip(RECOVERY_FIGURE_SPECS, pts)}

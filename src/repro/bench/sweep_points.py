@@ -1,18 +1,15 @@
-"""Module-level, picklable sweep-point functions for the parallel runner.
+"""Torus- and collective-scale sweeps: picklable points and their runners.
 
-Each function here builds a **fresh** deterministic system, runs exactly
-one evaluation point, and returns a picklable dataclass -- the unit of
-work :mod:`repro.sim.parallel` fans out across worker processes.  The
-serial sweep drivers in :mod:`repro.bench.microbench` et al. stay the
-reference implementations; the ``*_parallel`` wrappers below produce the
-same points in the same order, just computed out-of-process.
-
-Every point is independent by construction (no shared virtual clock, no
-shared system), which is what makes the fan-out safe: a fresh
-two-board prototype booted from cold reaches the same drained quiescent
-state the serial sweep restores between points, so per-point virtual
-times are identical either way (asserted by
-``tests/test_parallel_sweep.py``).
+Each point function builds a **fresh** deterministic cluster, runs
+exactly one evaluation point, and returns a picklable dataclass -- the
+unit of work :func:`repro.sim.parallel.run_sweep` runs in-process or
+fans out across worker processes.  Each runner takes ``jobs`` (explicit,
+else ``TCC_PARALLEL``, else serial) and returns its points in spec
+order; no point shares a system or virtual clock with another, so the
+results do not depend on ``jobs``.  The Figure 6, multi-hop, coherence
+and recovery sweeps follow the same pattern next to their experiments
+(:mod:`repro.bench.microbench`, :mod:`repro.bench.coherence_bench`,
+:mod:`repro.bench.recovery`).
 """
 
 from __future__ import annotations
@@ -20,105 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.parallel import PointPayload, SweepPoint, run_sweep
-from ..util.units import CACHELINE, KiB
-from .coherence_bench import CoherenceScalePoint, run_coherence_scaling
-from .microbench import (
-    BandwidthPoint,
-    HopPoint,
-    _RawWindow,
-    _echo,
-    _pingpong,
-    make_prototype,
-    prototype_image,
-    run_bandwidth_sweep,
-)
+from ..sim.parallel import SweepPoint, sweep_values
+from ..util.units import KiB
+from .microbench import _RawWindow
 
 __all__ = [
-    "fig6_point",
-    "multihop_point",
-    "coherence_point",
     "torus_point",
     "TorusPoint",
     "collective_point",
     "nic_collective_point",
     "CollectivePoint",
-    "recovery_point",
-    "run_bandwidth_sweep_parallel",
-    "run_multihop_parallel",
-    "run_coherence_scaling_parallel",
-    "run_torus_sweep_parallel",
-    "run_collectives_sweep_parallel",
-    "run_recovery_sweep_parallel",
+    "run_torus_sweep",
+    "run_collectives_sweep",
 ]
-
-#: Socket bindings per extra-hop count, as in ``run_multihop``.
-_HOP_BINDINGS: Tuple[Tuple[int, int], ...] = ((1, 1), (0, 1), (0, 0))
-
-
-def _maybe_metrics(sim, with_metrics: bool):
-    if not with_metrics:
-        return None
-    from ..obs.metrics import enable_metrics
-
-    return enable_metrics(sim)
-
-
-def _seed_images(images) -> None:
-    """Worker initializer: install parent-built boot images in the
-    worker-local cache so same-signature points restore instead of
-    cold-booting (see :func:`repro.cluster.snapshot.seed_image_cache`)."""
-    from ..cluster.snapshot import seed_image_cache
-
-    seed_image_cache(images)
-
-
-def fig6_point(size: int, mode: str, with_metrics: bool = False,
-               use_image: bool = False) -> Any:
-    """One Figure 6 bandwidth point on a fresh booted prototype.
-
-    With ``use_image=True`` the prototype is restored from the cached
-    boot image for its signature (bit-exact vs a cold boot) instead of
-    re-simulating the boot protocol.
-    """
-    sys_ = make_prototype(image=prototype_image() if use_image else None)
-    reg = _maybe_metrics(sys_.sim, with_metrics)
-    pts = run_bandwidth_sweep(sizes=(size,), modes=(mode,), system=sys_)
-    point = pts[0]
-    if reg is not None:
-        return PointPayload(point, reg.snapshot(sys_.sim.now))
-    return point
-
-
-def multihop_point(extra_hops: int, iters: int = 40, size: int = 64,
-                   with_metrics: bool = False,
-                   use_image: bool = False) -> Any:
-    """One multi-hop latency point (fresh prototype, numactl binding)."""
-    chip_a, chip_b = _HOP_BINDINGS[extra_hops]
-    sys_ = make_prototype(image=prototype_image() if use_image else None)
-    reg = _maybe_metrics(sys_.sim, with_metrics)
-    cluster = sys_.cluster
-    a = cluster.rank_of(0, chip_a)
-    b = cluster.rank_of(1, chip_b)
-    win_a = _RawWindow(cluster, a, b)
-    win_b = _RawWindow(cluster, b, a)
-    out: Dict = {}
-    cluster.sim.process(_echo(win_b, size, iters))
-    done = cluster.sim.process(_pingpong(win_a, win_b, size, iters, out))
-    cluster.sim.run_until_event(done)
-    point = HopPoint(extra_hops, out["elapsed"] / (2 * iters))
-    if reg is not None:
-        return PointPayload(point, reg.snapshot(sys_.sim.now))
-    return point
-
-
-def coherence_point(protocol: str, nodes: int, ops_per_node: int = 60,
-                    **kwargs) -> CoherenceScalePoint:
-    """One coherence-scaling point (its own Simulator per call)."""
-    return run_coherence_scaling(
-        node_counts=(nodes,), protocols=(protocol,),
-        ops_per_node=ops_per_node, **kwargs,
-    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +51,7 @@ class TorusPoint:
 
 
 def torus_point(shape: Tuple[int, int, int], size: int = 256 * KiB,
-                workload: str = "corner",
-                use_image: bool = False) -> TorusPoint:
+                workload: str = "corner") -> TorusPoint:
     """One fig6-style bulk transfer on a fresh booted 3D-torus cluster.
 
     * ``corner`` -- a single stream between antipodal corners (worst-case
@@ -154,13 +64,8 @@ def torus_point(shape: Tuple[int, int, int], size: int = 256 * KiB,
     from ..core.api import TCClusterSystem
     from ..topology import torus3d
 
-    if use_image:
-        from ..cluster.snapshot import image_for
-
-        sys_ = TCClusterSystem.from_image(image_for(torus3d(*shape)))
-    else:
-        sys_ = TCClusterSystem(torus3d(*shape))
-        sys_.boot()
+    sys_ = TCClusterSystem(torus3d(*shape))
+    sys_.boot()
     cl = sys_.cluster
     sim = sys_.sim
     boot_ns = sim.now
@@ -300,21 +205,8 @@ def _drive_collective(sim, comms, op: str, algorithm: str, size: int):
     return sim.now - t0, sim.event_count - e0
 
 
-def _collective_cfg(size: int):
-    """The message-library config a collective point of ``size`` runs
-    with (shared by the point function and the parallel image builder,
-    so their boot signatures agree)."""
-    from ..msglib import MsgConfig
-
-    return MsgConfig(ring_bytes=64 * KiB, eager_max=24576,
-                     fb_interval_slots=128,
-                     heap_bytes=max(512 * KiB, 2 * size))
-
-
 def collective_point(op: str, algorithm: str, size: int,
-                     shape: Tuple[int, int] = (8, 8),
-                     flow_fidelity: bool = True,
-                     use_image: bool = False) -> CollectivePoint:
+                     shape: Tuple[int, int] = (8, 8)) -> CollectivePoint:
     """One forced-algorithm collective on a fresh booted 2D-torus cluster.
 
     ``shape=(8, 8)`` is the 64-rank acceptance configuration: one rank
@@ -322,24 +214,22 @@ def collective_point(op: str, algorithm: str, size: int,
     supernode ring (single-hop by construction on even grids).  The
     message-library window is widened so bandwidth-bound chunks stay on
     the eager ring path, where the flow-fidelity layer coalesces them
-    into slot spans (reported via ``slot_windows``/``slot_slots``).
+    into slot spans (reported via ``slot_windows``/``slot_slots``);
+    flow fidelity is forced on for every collective point.
     """
     from ..core.api import TCClusterSystem
     from ..middleware import Communicator
+    from ..msglib import MsgConfig
     from ..obs.metrics import flow_counters
     from ..topology import torus2d
 
-    cfg = _collective_cfg(size)
-    if use_image:
-        from ..cluster.snapshot import image_for
-
-        sys_ = TCClusterSystem.from_image(
-            image_for(torus2d(*shape), msg_cfg=cfg))
-    else:
-        sys_ = TCClusterSystem(torus2d(*shape), msg_cfg=cfg)
-        sys_.boot()
+    cfg = MsgConfig(ring_bytes=64 * KiB, eager_max=24576,
+                    fb_interval_slots=128,
+                    heap_bytes=max(512 * KiB, 2 * size))
+    sys_ = TCClusterSystem(torus2d(*shape), msg_cfg=cfg)
+    sys_.boot()
     sim = sys_.sim
-    sim.features.flow_fidelity = flow_fidelity
+    sim.features.flow_fidelity = True
     cl = sys_.cluster
     comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
     elapsed, events = _drive_collective(sim, comms, op, algorithm, size)
@@ -373,245 +263,57 @@ def nic_collective_point(op: str, algorithm: str, size: int,
 
 
 # ---------------------------------------------------------------------------
-# Parallel sweep wrappers (serial-order outputs, size-descending schedule)
+# Sweep runners (spec-order outputs, largest points submitted first)
 # ---------------------------------------------------------------------------
 
-def _run_points(points: List[SweepPoint], order: List[str],
-                jobs: Optional[Any], timeout: Optional[float],
-                images: Optional[List[Any]] = None) -> Dict[str, Any]:
-    worker_state = images if images else None
-    worker_init = _seed_images if images else None
-    report = run_sweep(points, jobs=jobs, timeout=timeout,
-                       worker_state=worker_state, worker_init=worker_init)
-    by_key = {r.key: r.unwrap() for r in report.results}
-    return {k: by_key[k] for k in order}
-
-
-def run_bandwidth_sweep_parallel(
-    sizes: Sequence[int],
-    modes: Sequence[str] = ("weak", "strict"),
-    jobs: Optional[Any] = None,
-    timeout: Optional[float] = None,
-    with_metrics: bool = False,
-    use_image: bool = False,
-) -> List[BandwidthPoint]:
-    """Figure 6 sweep, one fresh system per point, pool fan-out.
-
-    Output order matches ``run_bandwidth_sweep`` (mode-major); the
-    *schedule* submits the largest transfers first so the long points do
-    not straggle at the tail of the pool.  With ``use_image=True`` the
-    prototype is booted **once** in the parent, snapshotted, and every
-    point restores the image (shipped to workers via the pool
-    initializer) instead of re-simulating the boot protocol.
-    """
-    for s in sizes:
-        if s % CACHELINE:
-            raise ValueError(f"size {s} not line aligned")
-    order = [f"fig6:{mode}:{size}" for mode in modes for size in sizes]
-    points = [
-        SweepPoint(
-            key=f"fig6:{mode}:{size}",
-            fn=fig6_point,
-            args=(size, mode),
-            kwargs={"with_metrics": with_metrics, "use_image": use_image},
-        )
-        for mode in modes
-        for size in sizes
-    ]
-    points.sort(key=lambda p: p.args[0], reverse=True)
-    images = [prototype_image()] if use_image else None
-    by_key = _run_points(points, order, jobs, timeout, images=images)
-    return [by_key[k] for k in order]
-
-
-def run_multihop_parallel(
-    iters: int = 40,
-    size: int = 64,
-    jobs: Optional[Any] = None,
-    timeout: Optional[float] = None,
-    use_image: bool = False,
-) -> List[HopPoint]:
-    """Multi-hop sweep (0/1/2 extra hops), pool fan-out."""
-    order = [f"hops:{extra}" for extra in range(len(_HOP_BINDINGS))]
-    points = [
-        SweepPoint(key=f"hops:{extra}", fn=multihop_point,
-                   args=(extra,),
-                   kwargs={"iters": iters, "size": size,
-                           "use_image": use_image})
-        for extra in range(len(_HOP_BINDINGS))
-    ]
-    images = [prototype_image()] if use_image else None
-    by_key = _run_points(points, order, jobs, timeout, images=images)
-    return [by_key[k] for k in order]
-
-
-def run_torus_sweep_parallel(
+def run_torus_sweep(
     shapes: Sequence[Tuple[int, int, int]] = ((4, 4, 4),),
     workloads: Sequence[str] = ("corner", "halo"),
     size: int = 256 * KiB,
     jobs: Optional[Any] = None,
     timeout: Optional[float] = None,
-    use_image: bool = False,
 ) -> List[TorusPoint]:
-    """Torus-scale sweep (64..512 supernodes), pool fan-out.
-
-    Each point boots its own cluster from cold, so points are
-    independent and the process pool fans them out safely; the largest
-    shapes are scheduled first so they do not straggle at the tail.
-    With ``use_image=True`` each distinct shape is booted once in the
-    parent and every point restores the matching snapshot.
-    """
-    order = [f"torus:{x}x{y}x{z}:{w}" for (x, y, z) in shapes
-             for w in workloads]
+    """Torus-scale sweep (64..512 supernodes), one :func:`torus_point`
+    per (shape, workload); the largest shapes are submitted first so
+    they do not straggle at the tail of the pool."""
     points = [
         SweepPoint(key=f"torus:{x}x{y}x{z}:{w}", fn=torus_point,
-                   args=((x, y, z),),
-                   kwargs={"size": size, "workload": w,
-                           "use_image": use_image})
+                   args=((x, y, z),), kwargs={"size": size, "workload": w})
         for (x, y, z) in shapes
         for w in workloads
     ]
-    points.sort(key=lambda p: p.args[0][0] * p.args[0][1] * p.args[0][2],
-                reverse=True)
-    images = None
-    if use_image:
-        from ..cluster.snapshot import image_for
-        from ..topology import torus3d
-
-        images = [image_for(torus3d(*shape)) for shape in shapes]
-    by_key = _run_points(points, order, jobs, timeout, images=images)
-    return [by_key[k] for k in order]
+    return sweep_values(
+        points, cost=lambda p: p.args[0][0] * p.args[0][1] * p.args[0][2],
+        jobs=jobs, timeout=timeout)
 
 
-def run_collectives_sweep_parallel(
+def run_collectives_sweep(
     specs: Sequence[Tuple[str, str, int]],
     shape: Tuple[int, int] = (8, 8),
-    flow_fidelity: bool = True,
     baselines: Sequence[str] = (),
     nic_nranks: int = 64,
     jobs: Optional[Any] = None,
     timeout: Optional[float] = None,
-    use_image: bool = False,
 ) -> List[CollectivePoint]:
-    """Collective sweep, one fresh cluster per point, pool fan-out.
+    """Collective sweep, one fresh cluster or fabric per point.
 
     ``specs`` is a list of ``(op, algorithm, size)`` triples run on the
-    torus cluster; each entry of ``baselines`` ("connectx" / "10gbe")
-    additionally runs every spec over that NIC fabric.  Output order:
-    all torus points in spec order, then each baseline's points.
-    With ``use_image=True`` the torus cluster is booted once per
-    distinct message-library config (sizes above 256 KiB widen the
-    heap, changing the boot signature) and restored per point.
+    torus cluster (:func:`collective_point`); each entry of ``baselines``
+    ("connectx" / "10gbe") additionally runs every spec over that NIC
+    fabric (:func:`nic_collective_point`).  Output order: all torus
+    points in spec order, then each baseline's points.
     """
-    order = [f"coll:{op}:{algo}:{size}" for op, algo, size in specs]
     points = [
-        SweepPoint(
-            key=f"coll:{op}:{algo}:{size}",
-            fn=collective_point,
-            args=(op, algo, size),
-            kwargs={"shape": tuple(shape), "flow_fidelity": flow_fidelity,
-                    "use_image": use_image},
-        )
+        SweepPoint(key=f"coll:{op}:{algo}:{size}", fn=collective_point,
+                   args=(op, algo, size), kwargs={"shape": tuple(shape)})
         for op, algo, size in specs
     ]
     for b in baselines:
-        order.extend(f"coll:{b}:{op}:{algo}:{size}"
-                     for op, algo, size in specs)
         points.extend(
-            SweepPoint(
-                key=f"coll:{b}:{op}:{algo}:{size}",
-                fn=nic_collective_point,
-                args=(op, algo, size),
-                kwargs={"nranks": nic_nranks, "baseline": b},
-            )
+            SweepPoint(key=f"coll:{b}:{op}:{algo}:{size}",
+                       fn=nic_collective_point, args=(op, algo, size),
+                       kwargs={"nranks": nic_nranks, "baseline": b})
             for op, algo, size in specs
         )
-    points.sort(key=lambda p: p.args[2], reverse=True)
-    images = None
-    if use_image:
-        from ..cluster.snapshot import image_for
-        from ..topology import torus2d
-
-        seen = {}
-        for _op, _algo, sz in specs:
-            cfg = _collective_cfg(sz)
-            seen.setdefault(cfg, torus2d(*shape))
-        images = [image_for(topo, msg_cfg=cfg)
-                  for cfg, topo in seen.items()]
-    by_key = _run_points(points, order, jobs, timeout, images=images)
-    return [by_key[k] for k in order]
-
-
-def recovery_point(**kwargs):
-    """One end-to-end recovery scenario (fresh booted cluster per call;
-    see :func:`repro.bench.recovery.run_recovery_scenario`)."""
-    from .recovery import run_recovery_scenario
-
-    return run_recovery_scenario(**kwargs)
-
-
-def run_recovery_sweep_parallel(
-    specs: Sequence[Tuple[str, dict]],
-    jobs: Optional[Any] = None,
-    timeout: Optional[float] = None,
-) -> List[Any]:
-    """Recovery-figure sweep, one fresh cluster per point, pool fan-out.
-
-    ``specs`` is ``[(key, scenario_kwargs), ...]`` (see
-    ``repro.bench.recovery.RECOVERY_FIGURE_SPECS``); output order matches
-    the spec order.  The longest outages (biggest ``duration_ns``) are
-    scheduled first so they do not straggle at the tail of the pool.
-    """
-    order = [key for key, _ in specs]
-    points = [
-        SweepPoint(key=key, fn=recovery_point, args=(), kwargs=dict(kw))
-        for key, kw in specs
-    ]
-    points.sort(key=lambda p: p.kwargs.get("duration_ns", 0.0),
-                reverse=True)
-    by_key = _run_points(points, order, jobs, timeout)
-    return [by_key[k] for k in order]
-
-
-def run_coherence_scaling_parallel(
-    node_counts: Sequence[int] = (2, 4, 8, 16, 32, 64),
-    protocols: Sequence[str] = ("broadcast", "directory"),
-    ops_per_node: int = 60,
-    jobs: Optional[Any] = None,
-    timeout: Optional[float] = None,
-    timing=None,
-    **kwargs,
-) -> List[CoherenceScalePoint]:
-    """Coherence scaling sweep, pool fan-out, serial output order.
-
-    Only the DES-simulated protocols fan out; the analytical TCCluster
-    equivalents are appended locally, exactly as the serial sweep does.
-    """
-    from ..util.calibration import DEFAULT_TIMING
-    from .coherence_bench import tcc_op_latency_ns
-
-    t = timing or DEFAULT_TIMING
-    if timing is not None:
-        kwargs["timing"] = timing
-    order = [f"coh:{p}:{n}" for p in protocols for n in node_counts]
-    points = [
-        SweepPoint(
-            key=f"coh:{protocol}:{n}",
-            fn=coherence_point,
-            args=(protocol, n),
-            kwargs={"ops_per_node": ops_per_node, **kwargs},
-        )
-        for protocol in protocols
-        for n in node_counts
-    ]
-    # Biggest node counts dominate runtime; schedule them first.
-    points.sort(key=lambda p: p.args[1], reverse=True)
-    by_key = _run_points(points, order, jobs, timeout)
-    out = [by_key[k] for k in order]
-    for n in node_counts:
-        lat = tcc_op_latency_ns(n, t)
-        out.append(
-            CoherenceScalePoint(n, "tccluster", n * ops_per_node, lat, 0.0,
-                                lat * ops_per_node)
-        )
-    return out
+    return sweep_values(points, cost=lambda p: p.args[2], jobs=jobs,
+                        timeout=timeout)

@@ -18,7 +18,6 @@ from .parallel import (
     SweepError,
     SweepPoint,
     SweepReport,
-    merge_snapshots,
     resolve_jobs,
     run_sweep,
 )
@@ -62,5 +61,4 @@ __all__ = [
     "SweepError",
     "run_sweep",
     "resolve_jobs",
-    "merge_snapshots",
 ]

@@ -12,8 +12,7 @@ Contract (see DESIGN.md "Scale-out execution model"):
 * a :class:`SweepPoint` names a **module-level, picklable** function plus
   its arguments; the function builds its own simulator/system from
   scratch and returns a picklable value,
-* workers never share simulator state; the merge step combines *results*
-  (and optional per-point metrics snapshots), never live objects,
+* workers never share simulator state; only *results* come back,
 * the serial path (``jobs <= 1``) executes the exact same point
   functions in-process, in submission order, so golden/determinism
   checks can always bypass the pool.
@@ -24,18 +23,14 @@ bare ``BrokenProcessPool`` traceback.
 
 Job-count resolution (:func:`resolve_jobs`): an explicit ``--jobs``
 value wins; otherwise the ``TCC_PARALLEL`` environment variable;
-otherwise 1 (serial).  ``0`` or ``"auto"`` selects ``os.cpu_count()``.
+otherwise 1 (serial).  ``0`` or ``"auto"`` selects :func:`usable_cpus`.
 
-Worker-local shared state: point functions used to re-construct
-*everything* per task -- including state identical across points, like a
-boot image of the common topology.  ``run_sweep(worker_state=...,
-worker_init=...)`` ships one picklable value to each worker **once** (at
-pool spin-up, not per task) and runs ``worker_init(state)`` there;
-points read it back via :func:`current_worker_state`.  The serial path
-installs the same state inline so ``jobs=1`` stays bit-identical.  The
-boot-image layer (:mod:`repro.cluster.snapshot`) uses this to seed each
-worker's image cache with the parent's pre-booted images, so a sweep
-boots each distinct signature once instead of once per point.
+``run_sweep(worker_state=..., worker_init=...)`` runs
+``worker_init(worker_state)`` once per worker process (at pool spin-up,
+not per task), or once inline on the serial path.  The boot-image layer
+(:mod:`repro.cluster.snapshot`) uses it to seed each worker's image
+cache with the parent's pre-booted images, so a sweep boots each
+distinct signature once instead of once per point.
 """
 
 from __future__ import annotations
@@ -49,38 +44,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SweepPoint",
-    "PointPayload",
     "PointResult",
     "SweepReport",
     "SweepError",
     "run_sweep",
-    "merge_snapshots",
+    "sweep_values",
     "resolve_jobs",
     "usable_cpus",
-    "current_worker_state",
 ]
 
 #: Environment variable consulted by :func:`resolve_jobs`.
 JOBS_ENV = "TCC_PARALLEL"
-
-#: Per-process shared state installed by ``run_sweep(worker_state=...)``
-#: (in pool workers via the initializer; in the serial path inline).
-_WORKER_STATE: Any = None
-
-
-def current_worker_state() -> Any:
-    """The sweep-shared state of this process (None outside a sweep)."""
-    return _WORKER_STATE
-
-
-def _init_worker(state: Any, init: Optional[Callable[[Any], None]]) -> None:
-    """Pool-worker initializer: runs once per worker process, not per
-    task -- the hoisting point for per-signature setup shared by every
-    point this worker will execute."""
-    global _WORKER_STATE
-    _WORKER_STATE = state
-    if init is not None:
-        init(state)
 
 
 class SweepError(RuntimeError):
@@ -114,21 +88,6 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class PointPayload:
-    """Optional structured return of a point function.
-
-    When a point function returns a ``PointPayload``, ``value`` becomes
-    the :attr:`PointResult.value` and ``metrics`` (a
-    ``MetricsRegistry.snapshot()`` dict) participates in the sweep-level
-    :func:`merge_snapshots`.  Plain return values are passed through
-    unchanged with no metrics contribution.
-    """
-
-    value: Any
-    metrics: Optional[Dict[str, Any]] = None
-
-
-@dataclass(frozen=True)
 class PointResult:
     """Outcome of one sweep point (success or structured failure)."""
 
@@ -136,9 +95,6 @@ class PointResult:
     ok: bool
     value: Any = None
     error: Optional[str] = None
-    worker_pid: int = 0
-    wall_s: float = 0.0
-    metrics: Optional[Dict[str, Any]] = None
 
     def unwrap(self) -> Any:
         if not self.ok:
@@ -148,19 +104,10 @@ class PointResult:
 
 @dataclass
 class SweepReport:
-    """All point results plus sweep-level accounting.
-
-    ``merged_metrics`` combines the per-point registry snapshots (points
-    that returned a :class:`PointPayload` with metrics) and adds the
-    runner's own attribution counters under the ``parallel.`` prefix:
-    points executed, worker wall-clock, pool wall-clock -- so speedups
-    are measurable from the report alone, per worker.
-    """
+    """All point results, in submission order, plus the worker count."""
 
     results: List[PointResult]
     jobs: int
-    wall_s: float
-    worker_stats: Dict[int, Dict[str, float]]
 
     @property
     def ok(self) -> bool:
@@ -168,39 +115,6 @@ class SweepReport:
 
     def values(self) -> List[Any]:
         return [r.unwrap() for r in self.results]
-
-    @property
-    def merged_metrics(self) -> Dict[str, Any]:
-        merged = merge_snapshots(
-            [r.metrics for r in self.results if r.metrics is not None]
-        )
-        c = merged.setdefault("counters", {})
-        c["parallel.points"] = c.get("parallel.points", 0) + len(self.results)
-        c["parallel.points_failed"] = c.get("parallel.points_failed", 0) + sum(
-            1 for r in self.results if not r.ok
-        )
-        c["parallel.worker_wall_s"] = round(
-            c.get("parallel.worker_wall_s", 0.0)
-            + sum(r.wall_s for r in self.results), 6
-        )
-        c["parallel.pool_wall_s"] = round(
-            c.get("parallel.pool_wall_s", 0.0) + self.wall_s, 6
-        )
-        c["parallel.jobs"] = self.jobs
-        c["parallel.workers"] = len(self.worker_stats)
-        return merged
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "wall_s": round(self.wall_s, 4),
-            "points": len(self.results),
-            "failed": [r.key for r in self.results if not r.ok],
-            "worker_stats": {
-                str(pid): {k: round(v, 4) for k, v in st.items()}
-                for pid, st in sorted(self.worker_stats.items())
-            },
-        }
 
 
 def usable_cpus() -> int:
@@ -227,10 +141,10 @@ def resolve_jobs(explicit: Optional[Any] = None) -> int:
     if raw is None or raw == "":
         return 1
     if isinstance(raw, str) and raw.strip().lower() == "auto":
-        return max(os.cpu_count() or 1, 1)
+        return usable_cpus()
     n = int(raw)
     if n == 0:
-        return max(os.cpu_count() or 1, 1)
+        return usable_cpus()
     if n < 0:
         raise ValueError(f"jobs must be >= 0, got {n}")
     return n
@@ -238,7 +152,6 @@ def resolve_jobs(explicit: Optional[Any] = None) -> int:
 
 def _execute_point(point: SweepPoint) -> PointResult:
     """Run one point in the current process (worker or serial path)."""
-    t0 = time.perf_counter()
     try:
         out = point.fn(*point.args, **point.kwargs)
     except BaseException as exc:  # surfaced structurally, never swallowed
@@ -246,30 +159,8 @@ def _execute_point(point: SweepPoint) -> PointResult:
             key=point.key,
             ok=False,
             error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-            worker_pid=os.getpid(),
-            wall_s=time.perf_counter() - t0,
         )
-    metrics = None
-    if isinstance(out, PointPayload):
-        metrics = out.metrics
-        out = out.value
-    return PointResult(
-        key=point.key,
-        ok=True,
-        value=out,
-        worker_pid=os.getpid(),
-        wall_s=time.perf_counter() - t0,
-        metrics=metrics,
-    )
-
-
-def _worker_stats(results: Sequence[PointResult]) -> Dict[int, Dict[str, float]]:
-    stats: Dict[int, Dict[str, float]] = {}
-    for r in results:
-        st = stats.setdefault(r.worker_pid, {"points": 0, "wall_s": 0.0})
-        st["points"] += 1
-        st["wall_s"] += r.wall_s
-    return stats
+    return PointResult(key=point.key, ok=True, value=out)
 
 
 def run_sweep(
@@ -289,11 +180,9 @@ def run_sweep(
     (default) any failed point raises :class:`SweepError` after all
     gathered results are attached to the exception.
 
-    ``worker_state`` (picklable) is installed once per worker process
-    before any point runs -- readable via :func:`current_worker_state` --
-    and ``worker_init(worker_state)`` runs there once (e.g. to seed a
-    boot-image cache).  The serial path installs/initializes the same
-    state inline, restoring the previous state afterwards.
+    ``worker_init(worker_state)`` (``worker_state`` picklable) runs once
+    in each worker process before any point, e.g. to seed a boot-image
+    cache; the serial path runs it once inline.
     """
     points = list(points)
     keys = [p.key for p in points]
@@ -301,33 +190,38 @@ def run_sweep(
         dupes = sorted({k for k in keys if keys.count(k) > 1})
         raise ValueError(f"duplicate sweep point keys: {dupes}")
     njobs = resolve_jobs(jobs)
-    t0 = time.perf_counter()
 
     if njobs <= 1 or len(points) <= 1:
-        global _WORKER_STATE
-        prev_state = _WORKER_STATE
-        _init_worker(worker_state, worker_init)
-        try:
-            results = [_execute_point(p) for p in points]
-        finally:
-            _WORKER_STATE = prev_state
-        wall = time.perf_counter() - t0
-        report = SweepReport(results, jobs=1, wall_s=wall,
-                             worker_stats=_worker_stats(results))
-        if strict and not report.ok:
-            bad = [r for r in results if not r.ok]
-            raise SweepError(
-                f"{len(bad)}/{len(results)} sweep points failed: "
-                f"{[r.key for r in bad]}; first error:\n{bad[0].error}",
-                results,
-            )
-        return report
+        njobs = 1
+        if worker_init is not None:
+            worker_init(worker_state)
+        results = [_execute_point(p) for p in points]
+    else:
+        results = _run_pool(points, njobs, timeout, worker_state,
+                            worker_init)
+    report = SweepReport(results, jobs=njobs)
+    if strict and not report.ok:
+        bad = [r for r in results if not r.ok]
+        raise SweepError(
+            f"{len(bad)}/{len(results)} sweep points failed: "
+            f"{[r.key for r in bad]}; first error:\n{bad[0].error}",
+            results,
+        )
+    return report
 
+
+def _run_pool(points: List[SweepPoint], njobs: int,
+              timeout: Optional[float], worker_state: Any,
+              worker_init: Optional[Callable[[Any], None]]
+              ) -> List[PointResult]:
+    """The process-pool branch of :func:`run_sweep`."""
     results_by_key: Dict[str, PointResult] = {}
-    deadline = None if timeout is None else t0 + timeout
-    with ProcessPoolExecutor(max_workers=min(njobs, len(points)),
-                             initializer=_init_worker,
-                             initargs=(worker_state, worker_init)) as pool:
+    deadline = None if timeout is None else time.perf_counter() + timeout
+    with ProcessPoolExecutor(
+            max_workers=min(njobs, len(points)),
+            initializer=worker_init,
+            initargs=(worker_state,) if worker_init is not None else ()
+    ) as pool:
         fut_to_point = {pool.submit(_execute_point, p): p for p in points}
         pending = set(fut_to_point)
         while pending:
@@ -348,7 +242,8 @@ def run_sweep(
                         error=f"timed out after {timeout}s (sweep deadline)",
                     )
                 pool.shutdown(wait=False, cancel_futures=True)
-                partial = [results_by_key[k] for k in keys if k in results_by_key]
+                partial = [results_by_key[p.key] for p in points
+                           if p.key in results_by_key]
                 raise SweepError(
                     f"sweep timed out after {timeout}s; unfinished points: "
                     f"{stuck}", partial,
@@ -365,98 +260,22 @@ def run_sweep(
                         error=f"worker crashed: {type(exc).__name__}: {exc}",
                     )
             pending -= done
-
-    results = [results_by_key[k] for k in keys]
-    wall = time.perf_counter() - t0
-    report = SweepReport(results, jobs=njobs, wall_s=wall,
-                         worker_stats=_worker_stats(results))
-    if strict and not report.ok:
-        bad = [r for r in results if not r.ok]
-        raise SweepError(
-            f"{len(bad)}/{len(results)} sweep points failed: "
-            f"{[r.key for r in bad]}; first error:\n{bad[0].error}",
-            results,
-        )
-    return report
+    return [results_by_key[p.key] for p in points]
 
 
-# ---------------------------------------------------------------------------
-# Metrics snapshot merging
-# ---------------------------------------------------------------------------
+def sweep_values(points: Sequence[SweepPoint],
+                 cost: Callable[[SweepPoint], Any],
+                 jobs: Optional[Any] = None,
+                 timeout: Optional[float] = None,
+                 **sweep_kwargs: Any) -> List[Any]:
+    """The values of ``points``, in the order given.
 
-def _merge_histogram(into: Dict[str, Any], h: Dict[str, Any]) -> Dict[str, Any]:
-    if not into or not into.get("count"):
-        return dict(h)
-    if not h.get("count"):
-        return into
-    buckets = dict(into.get("buckets", {}))
-    for b, n in h.get("buckets", {}).items():
-        buckets[b] = buckets.get(b, 0) + n
-    count = into["count"] + h["count"]
-    total = into["mean"] * into["count"] + h["mean"] * h["count"]
-    merged = {
-        "count": count,
-        "mean": total / count,
-        "min": min(into["min"], h["min"]),
-        "max": max(into["max"], h["max"]),
-        "buckets": buckets,
-    }
-    # Percentiles cannot be merged exactly from summaries; recompute the
-    # same linear-interpolation estimate LogHistogram uses, from buckets.
-    for p_name, p in (("p50", 50.0), ("p99", 99.0)):
-        target = p / 100.0 * count
-        seen = 0
-        est = merged["max"]
-        for b in sorted(int(k) for k in buckets):
-            n = buckets[str(b)] if str(b) in buckets else buckets[b]
-            if seen + n >= target:
-                lo, hi = float(b), float(2 * b if b else 2)
-                frac = (target - seen) / n
-                est = max(merged["min"], min(merged["max"], lo + frac * (hi - lo)))
-                break
-            seen += n
-        merged[p_name] = est
-    return merged
-
-
-def merge_snapshots(snapshots: Sequence[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
-    """Combine per-point ``MetricsRegistry.snapshot()`` dicts.
-
-    Counters sum; ``gauge_max`` takes the max; histograms merge bucket
-    counts (percentiles re-estimated); accumulator averages combine
-    weighted by sample count.  Plain ``gauges`` (last-value) are dropped:
-    "last" is meaningless across independent simulators.  ``time_ns``
-    sums -- it is total simulated virtual time across points.
+    The points are *submitted* costliest first so long points do not
+    straggle at the tail of the pool; the schedule never changes a
+    value, only which worker computes it when.
     """
-    merged: Dict[str, Any] = {
-        "time_ns": 0.0,
-        "counters": {},
-        "gauge_max": {},
-        "histograms": {},
-        "accumulators": {},
-    }
-    for snap in snapshots:
-        if not snap:
-            continue
-        merged["time_ns"] += snap.get("time_ns", 0.0)
-        for k, v in snap.get("counters", {}).items():
-            merged["counters"][k] = merged["counters"].get(k, 0) + v
-        for k, v in snap.get("gauge_max", {}).items():
-            if v > merged["gauge_max"].get(k, float("-inf")):
-                merged["gauge_max"][k] = v
-        for k, h in snap.get("histograms", {}).items():
-            merged["histograms"][k] = _merge_histogram(
-                merged["histograms"].get(k, {}), h
-            )
-        for k, a in snap.get("accumulators", {}).items():
-            cur = merged["accumulators"].get(k)
-            if cur is None:
-                merged["accumulators"][k] = dict(a)
-            else:
-                n0, n1 = cur.get("samples", 0), a.get("samples", 0)
-                if n0 + n1:
-                    cur["avg"] = (
-                        cur.get("avg", 0.0) * n0 + a.get("avg", 0.0) * n1
-                    ) / (n0 + n1)
-                cur["samples"] = n0 + n1
-    return merged
+    order = [p.key for p in points]
+    report = run_sweep(sorted(points, key=cost, reverse=True), jobs=jobs,
+                       timeout=timeout, **sweep_kwargs)
+    by_key = {r.key: r.value for r in report.results}
+    return [by_key[k] for k in order]

@@ -1,9 +1,9 @@
 """Tests for the parallel sweep runner (repro.sim.parallel).
 
 The runner's contract: per-point determinism (a fresh system per point
-reproduces the serial shared-system sweep exactly), structured failure
-surfacing (exceptions, crashes, timeouts name the point), and a merge
-step over metrics snapshots that is associative on counters/histograms.
+reproduces the serial shared-system sweep exactly, and a sweep's values
+do not depend on ``jobs``) and structured failure surfacing (exceptions,
+crashes, timeouts name the point).
 """
 
 import os
@@ -12,13 +12,11 @@ import time
 import pytest
 
 from repro.sim.parallel import (
-    PointPayload,
-    PointResult,
     SweepError,
     SweepPoint,
-    merge_snapshots,
     resolve_jobs,
     run_sweep,
+    usable_cpus,
 )
 
 # ---------------------------------------------------------------------------
@@ -41,10 +39,6 @@ def die(x):
 def slow(x):
     time.sleep(30)
     return x
-
-
-def with_payload(x):
-    return PointPayload(x, {"time_ns": 1.0, "counters": {"ops": x}})
 
 
 def tiny_sim_point(seed):
@@ -79,9 +73,14 @@ def test_resolve_jobs_priority(monkeypatch):
     monkeypatch.setenv("TCC_PARALLEL", "auto")
     assert resolve_jobs() >= 1
     monkeypatch.setenv("TCC_PARALLEL", "0")
-    assert resolve_jobs() == max(os.cpu_count() or 1, 1)
+    assert resolve_jobs() == usable_cpus()
     with pytest.raises(ValueError):
         resolve_jobs(-2)
+    # "auto" counts the CPUs this process may run on, not the machine's.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert resolve_jobs("auto") == 1
+    assert resolve_jobs(0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,86 +152,47 @@ def test_timeout_surfaced():
         run_sweep(pts, jobs=2, timeout=2.0)
 
 
-def test_worker_stats_and_attribution_counters():
-    pts = _points(with_payload, [2, 3, 4])
-    report = run_sweep(pts, jobs=2)
-    assert sum(st["points"] for st in report.worker_stats.values()) == 3
-    merged = report.merged_metrics
-    assert merged["counters"]["ops"] == 2 + 3 + 4
-    assert merged["counters"]["parallel.points"] == 3
-    assert merged["counters"]["parallel.points_failed"] == 0
-    assert merged["counters"]["parallel.jobs"] == 2
-    assert merged["counters"]["parallel.worker_wall_s"] >= 0
-    assert merged["counters"]["parallel.pool_wall_s"] >= 0
-    d = report.to_dict()
-    assert d["points"] == 3 and d["failed"] == []
-
-
 # ---------------------------------------------------------------------------
-# merge_snapshots
+# fresh-system-per-point == serial shared-system sweep, and every sweep
+# runner's values are independent of jobs (the determinism contract the
+# benchmark fixtures rely on)
 # ---------------------------------------------------------------------------
 
 
-def _registry_snapshot(values, now):
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = MetricsRegistry()
-    reg.enabled = True
-    for v in values:
-        reg.inc("n")
-        reg.observe("lat", v)
-        reg.set_gauge("depth", v)
-        reg.track("occ", now, v)
-    return reg.snapshot(now)
-
-
-def test_merge_snapshots_counters_hist_gauges():
-    a = _registry_snapshot([4, 8, 16], 100.0)
-    b = _registry_snapshot([32, 64], 50.0)
-    merged = merge_snapshots([a, b, None])
-    assert merged["counters"]["n"] == 5
-    assert merged["time_ns"] == 150.0
-    assert merged["gauge_max"]["depth"] == 64
-    h = merged["histograms"]["lat"]
-    assert h["count"] == 5
-    assert h["min"] == 4 and h["max"] == 64
-    assert h["mean"] == pytest.approx((4 + 8 + 16 + 32 + 64) / 5)
-    assert sum(h["buckets"].values()) == 5
-    assert h["min"] <= h["p50"] <= h["max"]
-    # merging with an empty snapshot list yields an empty frame
-    empty = merge_snapshots([])
-    assert empty["counters"] == {} and empty["time_ns"] == 0.0
-
-
-def test_merge_snapshots_matches_single_registry():
-    """Merging per-point snapshots == one registry seeing all samples."""
-    combined = _registry_snapshot([4, 8, 16, 32, 64], 150.0)
-    merged = merge_snapshots(
-        [_registry_snapshot([4, 8, 16], 150.0),
-         _registry_snapshot([32, 64], 0.0)]
-    )
-    h0, h1 = combined["histograms"]["lat"], merged["histograms"]["lat"]
-    assert h0["count"] == h1["count"] and h0["buckets"] == h1["buckets"]
-    assert h0["mean"] == pytest.approx(h1["mean"])
-    assert combined["counters"] == merged["counters"]
-
-
-# ---------------------------------------------------------------------------
-# fresh-system-per-point == serial shared-system sweep (the determinism
-# contract the benchmark fixtures rely on)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
 def test_fig6_points_parallel_equals_serial():
-    from repro.bench.microbench import run_bandwidth_sweep
-    from repro.bench.sweep_points import run_bandwidth_sweep_parallel
+    from repro.bench.microbench import make_prototype, run_bandwidth_sweep
 
     sizes = (64, 4096)
-    serial = run_bandwidth_sweep(sizes=sizes)
-    par = run_bandwidth_sweep_parallel(sizes=sizes, jobs=2)
-    assert [(p.size, p.mode, p.elapsed_ns, p.mbps) for p in serial] == \
-           [(p.size, p.mode, p.elapsed_ns, p.mbps) for p in par]
+    shared = run_bandwidth_sweep(sizes=sizes, system=make_prototype())
+    par = run_bandwidth_sweep(sizes=sizes, jobs=2)
+    assert shared == par
+    assert [(p.size, p.mode) for p in par] == [
+        (64, "weak"), (4096, "weak"), (64, "strict"), (4096, "strict")]
+
+
+def test_multihop_parallel_equals_serial():
+    from repro.bench.microbench import run_multihop
+
+    assert run_multihop(iters=8, jobs=1) == run_multihop(iters=8, jobs=2)
+
+
+def test_coherence_scaling_parallel_equals_serial():
+    from repro.bench.coherence_bench import run_coherence_scaling
+
+    kw = dict(node_counts=(2, 8), ops_per_node=20)
+    serial = run_coherence_scaling(jobs=1, **kw)
+    assert serial == run_coherence_scaling(jobs=2, **kw)
+    # Recorded before the per-(protocol, n) loop body became a sweep
+    # point function: the move must not change a single bit.
+    assert [(p.nodes, p.protocol, p.ops, p.avg_op_ns, p.probes_per_op,
+             p.total_ns) for p in serial] == [
+        (2, "broadcast", 40, 150.07, 0.725, 3001.3999999999996),
+        (8, "broadcast", 160, 292.0368083164127, 5.425, 5840.7361663282545),
+        (2, "directory", 40, 112.56999999999998, 0.175, 2251.3999999999996),
+        (8, "directory", 160, 255.65371790059203, 0.675, 5113.074358011841),
+        (2, "tccluster", 40, 234.0, 0.0, 4680.0),
+        (8, "tccluster", 160, 270.7531504513113, 0.0, 5415.063009026226),
+    ]
 
 
 # ---------------------------------------------------------------------------
