@@ -8,19 +8,16 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def write_result(name: str, text: str, point: str | None = None) -> None:
+def write_result(name: str, text: str) -> None:
     """Persist a reproduced table/figure to benchmarks/results/ and echo
     it (visible with pytest -s; always available in the file).
 
-    Atomic (tmp file + rename): concurrent sweep workers can never leave
-    a torn file, and the last completed write wins whole, not mixed.
-    ``point`` namespaces per-point outputs (``<name>.<point>.txt``) so
-    parallel points of one benchmark do not race on a single filename.
+    Atomic (tmp file + rename): an interrupted or concurrent run never
+    leaves a torn file, and the last completed write wins whole.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    stem = f"{name}.{point}" if point else name
-    path = RESULTS_DIR / f"{stem}.txt"
-    tmp = RESULTS_DIR / f".{stem}.{os.getpid()}.tmp"
+    path = RESULTS_DIR / f"{name}.txt"
+    tmp = RESULTS_DIR / f".{name}.{os.getpid()}.tmp"
     tmp.write_text(text + "\n")
     os.replace(tmp, path)
     print(f"\n{text}\n[saved to {path}]")

@@ -10,18 +10,13 @@ sweeps the fence interval from every line (strict) to never (weak).
 import pytest
 
 from _common import write_result
-from repro.bench import run_ordering_ablation, table
-from repro.util.units import KiB
+from repro.bench.experiments import EXPERIMENTS
+
+ORDERING = EXPERIMENTS["ordering"]
 
 
-@pytest.fixture(scope="module")
-def ordering_points():
-    return run_ordering_ablation(intervals=(1, 2, 4, 8, 16, 64, None),
-                                 size=256 * KiB)
-
-
-def test_ordering_ablation(benchmark, ordering_points):
-    points = ordering_points
+def test_ordering_ablation():
+    points = ORDERING.points(full=True)
     by_k = {p.fence_interval: p.mbps for p in points}
 
     # --- the two paper endpoints ----------------------------------------
@@ -33,16 +28,4 @@ def test_ordering_ablation(benchmark, ordering_points):
     # diminishing returns: most of the win is gone by interval 16
     assert by_k[16] > 0.85 * by_k[None]
 
-    rows = [("every line" if p.fence_interval == 1 else
-             ("never" if p.fence_interval is None else
-              f"every {p.fence_interval}"), round(p.mbps))
-            for p in points]
-    txt = table(["sfence interval", "MB/s"], rows,
-                title="Ordering ablation: sfence frequency vs bandwidth")
-    write_result("ablation_ordering", txt)
-
-    def kernel():
-        return run_ordering_ablation(intervals=(1, None), size=16 * KiB)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert len(result) == 2
+    write_result(ORDERING.result, ORDERING.table(points))

@@ -7,19 +7,14 @@ every 8-byte store into its own posted write: 8x the packets, ~10x less
 bandwidth.
 """
 
-import pytest
-
 from _common import write_result
-from repro.bench import run_wc_ablation, table
-from repro.util.units import KiB
+from repro.bench.experiments import EXPERIMENTS
+
+WC = EXPERIMENTS["wc"]
 
 
-@pytest.fixture(scope="module")
-def ablation_points():
-    return run_wc_ablation(size=256 * KiB)
-
-
-def test_wc_ablation(benchmark, ablation_points):
+def test_wc_ablation():
+    ablation_points = WC.points(full=True)
     points = {p.mapping: p for p in ablation_points}
     wc, uc = points["WC"], points["UC"]
 
@@ -30,14 +25,4 @@ def test_wc_ablation(benchmark, ablation_points):
     # and the bandwidth benefit is large
     assert wc.mbps / uc.mbps > 5, f"WC speedup only {wc.mbps / uc.mbps:.1f}x"
 
-    rows = [(p.mapping, p.size, p.packets, round(p.mbps)) for p in
-            ablation_points]
-    txt = table(["mapping", "bytes", "link packets", "MB/s"], rows,
-                title="Write-combining ablation (256 KiB stream)")
-    write_result("ablation_wc", txt)
-
-    def kernel():
-        return run_wc_ablation(size=16 * KiB)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].mapping == "WC"
+    write_result(WC.result, WC.table(ablation_points))

@@ -9,17 +9,13 @@ TCCluster's advantage carries from microbenchmark to application.
 import pytest
 
 from _common import write_result
-from repro.bench.app_bench import run_halo_comparison
-from repro.bench import table
+from repro.bench.experiments import EXPERIMENTS
+
+APP = EXPERIMENTS["app"]
 
 
-@pytest.fixture(scope="module")
-def halo_results():
-    return run_halo_comparison(iters=5)
-
-
-def test_application_halo_comparison(benchmark, halo_results):
-    results = halo_results
+def test_application_halo_comparison():
+    results = APP.points(full=True)
     by = {r.fabric: r for r in results}
     tcc = by["TCCluster"]
     ib = by["ConnectX IB"]
@@ -32,19 +28,4 @@ def test_application_halo_comparison(benchmark, halo_results):
     assert ib.per_iter_ns / tcc.per_iter_ns > 2.5
     assert tengbe.per_iter_ns / tcc.per_iter_ns > 20
 
-    rows = [(r.fabric, r.iterations, f"{r.makespan_ns / 1000:.1f}",
-             f"{r.per_iter_ns / 1000:.2f}",
-             f"{r.per_iter_ns / tcc.per_iter_ns:.1f}x")
-            for r in results]
-    txt = table(
-        ["fabric", "iters", "makespan us", "per-iter us", "vs TCC"],
-        rows,
-        title="2-D Jacobi halo exchange (2x2 ranks), identical MPI code",
-    )
-    write_result("app_halo", txt)
-
-    def kernel():
-        return run_halo_comparison(iters=2, nic_params=())
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].fabric == "TCCluster"
+    write_result(APP.result, APP.table(results))

@@ -11,20 +11,11 @@ Paper anchors (Section VI):
 import pytest
 
 from _common import write_result
-from repro.baselines import CONNECTX_IB, GIGE, TEN_GBE
-from repro.bench import (
-    run_baseline_comparison,
-    run_nic_des_bandwidth,
-    run_nic_des_latency,
-    table,
-)
+from repro.baselines import CONNECTX_IB
+from repro.bench import run_nic_des_bandwidth, run_nic_des_latency
+from repro.bench.experiments import EXPERIMENTS
 
-SIZES = (64, 1024, 65536, 1048576)
-
-
-@pytest.fixture(scope="module")
-def comparison():
-    return run_baseline_comparison(sizes=SIZES)
+IB = EXPERIMENTS["ib"]
 
 
 def test_nic_model_matches_paper_quotes():
@@ -35,8 +26,8 @@ def test_nic_model_matches_paper_quotes():
     assert run_nic_des_latency(CONNECTX_IB, 64) == pytest.approx(1400, rel=0.05)
 
 
-def test_baseline_comparison(benchmark, comparison):
-    comp = comparison
+def test_baseline_comparison():
+    comp = IB.points(full=True)
     ib_rows = [r for r in comp["bandwidth"] if r.baseline == "ConnectX IB"]
     by_size = {r.size: r for r in ib_rows}
 
@@ -45,30 +36,11 @@ def test_baseline_comparison(benchmark, comparison):
     assert by_size[1024].ratio > 3
     assert by_size[1 << 20].ratio > 1, "TCC still ahead at 1 MB"
     # the advantage shrinks with size: the crossover direction is right
-    ratios = [by_size[s].ratio for s in SIZES]
+    ratios = [r.ratio for r in ib_rows]
     assert ratios == sorted(ratios, reverse=True)
 
     ib_lat = [r for r in comp["latency"] if r.baseline == "ConnectX IB"][0]
     assert 4 <= ib_lat.ratio <= 8, \
         f"paper: ~4x latency advantage (vs 1 us IB); got {ib_lat.ratio:.1f}x vs 1.4 us"
 
-    rows = [
-        (r.baseline, r.size, round(r.tcc_mbps), round(r.baseline_mbps),
-         f"{r.ratio:.1f}x")
-        for r in comp["bandwidth"]
-    ]
-    txt = table(["baseline", "size B", "TCC MB/s", "base MB/s", "TCC adv"],
-                rows, title="TCCluster vs NIC interconnects: bandwidth")
-    lat_rows = [
-        (r.baseline, round(r.tcc_mbps), round(r.baseline_mbps), f"{r.ratio:.1f}x")
-        for r in comp["latency"]
-    ]
-    txt += "\n\n" + table(["baseline", "TCC ns", "base ns", "TCC adv"],
-                          lat_rows, title="64 B half-round-trip latency")
-    write_result("baseline_ib", txt)
-
-    def kernel():
-        return run_nic_des_latency(CONNECTX_IB, 64, iters=5)
-
-    result = benchmark(kernel)
-    assert result > 1000
+    write_result(IB.result, IB.table(comp))

@@ -6,20 +6,15 @@ trains non-coherent, and the synchronized-reset scheme holds as boards
 are added.
 """
 
-import pytest
-
 from _common import write_result
-from repro.bench import prototype_stage_times, run_boot_scaling, table
-from repro.core import TCClusterSystem
+from repro.bench.experiments import EXPERIMENTS
+
+BOOT = EXPERIMENTS["boot"]
 
 
-@pytest.fixture(scope="module")
-def stage_times():
-    return prototype_stage_times()
-
-
-def test_boot_stages_and_scaling(benchmark, stage_times):
-    stages = stage_times
+def test_boot_stages_and_scaling():
+    res = BOOT.points(full=True)
+    stages, points = res
     order = [
         "cold_reset", "coherent_enumeration", "force_noncoherent",
         "warm_reset", "northbridge_init", "cpu_msr_init", "memory_init",
@@ -30,7 +25,6 @@ def test_boot_stages_and_scaling(benchmark, stage_times):
     times = list(stages.values())
     assert times == sorted(times)
 
-    points = run_boot_scaling(sizes=(2, 4, 8), mesh_sizes=(2, 3))
     # every TCC link end verified non-coherent
     by_topo = {p.topology: p for p in points}
     assert by_topo["chain(2)"].tcc_links_verified == 2
@@ -40,18 +34,4 @@ def test_boot_stages_and_scaling(benchmark, stage_times):
     # boot time is dominated by the fixed per-board sequence, not N
     assert by_topo["chain(8)"].boot_ns < by_topo["chain(2)"].boot_ns * 2
 
-    rows = [(k, f"{v / 1000:.1f}") for k, v in stages.items()]
-    txt = table(["stage", "completed at (us)"], rows,
-                title="Two-board prototype: firmware stage timeline")
-    rows2 = [(p.topology, p.supernodes, f"{p.boot_ns / 1000:.1f}",
-              p.tcc_links_verified) for p in points]
-    txt += "\n\n" + table(
-        ["topology", "supernodes", "boot us", "TCC link ends verified"],
-        rows2, title="Boot scaling")
-    write_result("boot", txt)
-
-    def kernel():
-        return TCClusterSystem.two_board_prototype().boot()
-
-    sys_ = benchmark(kernel)
-    assert sys_.cluster.ready
+    write_result(BOOT.result, BOOT.table(res))

@@ -6,21 +6,14 @@ scalability to 32 nodes"; TCCluster sidesteps both because message
 passing has no probe term.
 """
 
-import pytest
-
 from _common import write_result
-from repro.bench import run_coherence_scaling, table
+from repro.bench.experiments import EXPERIMENTS
 
-NODES = (2, 4, 8, 16, 32, 64)
-
-
-@pytest.fixture(scope="module")
-def scaling_points():
-    return run_coherence_scaling(node_counts=NODES, ops_per_node=40)
+COH = EXPERIMENTS["coherence"]
 
 
-def test_coherence_scaling(benchmark, scaling_points):
-    points = scaling_points
+def test_coherence_scaling():
+    points = COH.points(full=True)
     bc = {p.nodes: p for p in points if p.protocol == "broadcast"}
     dr = {p.nodes: p for p in points if p.protocol == "directory"}
     tcc = {p.nodes: p for p in points if p.protocol == "tccluster"}
@@ -39,21 +32,4 @@ def test_coherence_scaling(benchmark, scaling_points):
     # SMPs perform well "for small scale systems of up to 8 or 16 nodes")
     assert bc[2].avg_op_ns < tcc[2].avg_op_ns
 
-    rows = []
-    for n in NODES:
-        rows.append((n, round(bc[n].avg_op_ns, 1), round(bc[n].probes_per_op, 1),
-                     round(dr[n].avg_op_ns, 1), round(tcc[n].avg_op_ns, 1)))
-    txt = table(
-        ["nodes", "broadcast ns/op", "probes/op", "directory ns/op",
-         "tccluster ns/op"],
-        rows,
-        title="Coherence scaling: why TCCluster abandons cache coherence",
-    )
-    write_result("coherence_scaling", txt)
-
-    def kernel():
-        return run_coherence_scaling(node_counts=(8,), ops_per_node=20,
-                                     protocols=("broadcast",))
-
-    result = benchmark(kernel)
-    assert result[0].nodes == 8
+    write_result(COH.result, COH.table(points))

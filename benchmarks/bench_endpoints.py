@@ -5,20 +5,16 @@ want to communicate with.  While this limitation prohibits unlimited
 scalability the approach is sufficient to support hundreds of endpoints."
 """
 
-import pytest
-
 from _common import write_result
-from repro.bench import endpoint_footprint_table, run_fan_in, table
+from repro.bench.experiments import EXPERIMENTS
 from repro.util.units import MiB
 
-
-@pytest.fixture(scope="module")
-def fan_in_points():
-    return run_fan_in(sender_counts=(1, 2, 4, 7), messages=32)
+ENDPOINTS = EXPERIMENTS["endpoints"]
 
 
-def test_endpoint_scaling(benchmark, fan_in_points):
-    foot = endpoint_footprint_table((2, 8, 32, 128, 256, 512))
+def test_endpoint_scaling():
+    res = ENDPOINTS.points(full=True)
+    foot, points = res
     by_n = {f.endpoints: f for f in foot}
     # --- hundreds of endpoints fit comfortably in one node's DRAM -------
     assert by_n[256].ring_bytes == 256 * 4096, "4 KB ring per endpoint"
@@ -27,23 +23,9 @@ def test_endpoint_scaling(benchmark, fan_in_points):
     # footprint is linear in the endpoint count (no shared rx state)
     assert by_n[256].ring_bytes == 2 * by_n[128].ring_bytes
 
-    points = fan_in_points
     # independent per-sender rings: aggregate grows until the hub's link
     # saturates, and never collapses as senders are added
     assert points[1].aggregate_mbps > points[0].aggregate_mbps * 1.4
     assert points[-1].aggregate_mbps > points[1].aggregate_mbps * 0.9
 
-    rows = [(f.endpoints, f.ring_bytes, f.feedback_bytes, f.heap_bytes,
-             f.total_bytes) for f in foot]
-    txt = table(["endpoints", "rings B", "feedback B", "heaps B", "total B"],
-                rows, title="Per-node footprint vs endpoint count")
-    rows2 = [(p.senders, p.messages, round(p.aggregate_mbps)) for p in points]
-    txt += "\n\n" + table(["senders", "messages", "aggregate MB/s"], rows2,
-                          title="Fan-in throughput into one node")
-    write_result("endpoints", txt)
-
-    def kernel():
-        return run_fan_in(sender_counts=(2,), messages=8)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].senders == 2
+    write_result(ENDPOINTS.result, ENDPOINTS.table(res))

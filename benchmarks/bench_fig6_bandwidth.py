@@ -9,28 +9,20 @@ Paper anchors (Section VI + abstract):
 import pytest
 
 from _common import write_result
-from repro.bench import (
-    make_prototype,
-    run_bandwidth_sweep,
-    series_plot,
-    table,
-)
-from repro.util.units import KiB, MiB, fmt_bytes
+from repro.bench.experiments import EXPERIMENTS
+from repro.util.units import KiB, MiB
 
-SIZES = tuple(64 << i for i in range(0, 17))  # 64 B .. 4 MiB
+FIG6 = EXPERIMENTS["fig6"]
 
 
-@pytest.fixture(scope="module")
-def fig6_points():
-    # TCC_PARALLEL=N (or "auto") fans the 34 points out across N worker
-    # processes; per-point results do not depend on it.
-    return run_bandwidth_sweep(sizes=SIZES)
-
-
-def test_fig6_bandwidth(benchmark, fig6_points):
-    points = fig6_points
+def test_fig6_bandwidth():
+    # TCC_PARALLEL=N (or "auto") fans the 34 points (64 B .. 4 MiB x both
+    # modes) out across N worker processes; per-point results do not
+    # depend on it.
+    points = FIG6.points(full=True)
     weak = {p.size: p.mbps for p in points if p.mode == "weak"}
     strict = {p.size: p.mbps for p in points if p.mode == "strict"}
+    sizes = sorted(weak)
 
     # --- shape assertions against the paper's anchors -------------------
     assert weak[64] == pytest.approx(2500, rel=0.10), "64 B point (abstract: 2500 MB/s)"
@@ -41,28 +33,9 @@ def test_fig6_bandwidth(benchmark, fig6_points):
     assert weak[4 * MiB] == pytest.approx(2700, rel=0.06), "sustained ~2700 MB/s"
     assert weak[4 * MiB] > weak[1 * MiB] * 0.8  # declining toward sustained
     assert strict[4 * MiB] == pytest.approx(2000, rel=0.03), "strict plateau 2000"
-    assert all(strict[s] <= weak[s] * 1.01 for s in SIZES), "strict never wins"
+    assert all(strict[s] <= weak[s] * 1.01 for s in sizes), "strict never wins"
     # strictly ordered is monotone toward its plateau
-    svals = [strict[s] for s in SIZES]
+    svals = [strict[s] for s in sizes]
     assert all(b >= a - 1 for a, b in zip(svals, svals[1:]))
 
-    rows = [
-        (fmt_bytes(s), round(weak[s]), round(strict[s]))
-        for s in SIZES
-    ]
-    txt = table(["size", "weak MB/s", "strict MB/s"], rows,
-                title="Figure 6: TCCluster bandwidth (reproduced)")
-    txt += "\n\n" + series_plot([fmt_bytes(s) for s in SIZES],
-                                [weak[s] for s in SIZES],
-                                label="weakly ordered (MB/s)")
-    write_result("fig6_bandwidth", txt)
-
-    # Timed kernel: one 64 KiB weak measurement on a booted system.
-    sys_ = make_prototype()
-
-    def kernel():
-        return run_bandwidth_sweep(sizes=(64 * KiB,), modes=("weak",),
-                                   system=sys_)
-
-    result = benchmark(kernel)
-    assert result[0].mbps > 4000
+    write_result(FIG6.result, FIG6.table(points))

@@ -4,29 +4,21 @@ Paper anchors (Section VI):
 * 227 ns for 64-byte packets,
 * below 1 us for 1 KByte messages,
 * latency grows linearly with size (wire-limited slope).
+
+The results file adds the raw remote-store ping-pong (no library).
 """
 
 import pytest
 
 from _common import write_result
-from repro.bench import (
-    make_prototype,
-    run_latency_sweep,
-    run_msglib_latency,
-    series_plot,
-    table,
-)
+from repro.bench.experiments import EXPERIMENTS
 
-SLOTS = (1, 2, 4, 8, 16, 32, 64)
+FIG7 = EXPERIMENTS["fig7"]
 
 
-@pytest.fixture(scope="module")
-def fig7_points():
-    return run_msglib_latency(slot_counts=SLOTS, iters=40)
-
-
-def test_fig7_latency(benchmark, fig7_points):
-    points = fig7_points
+def test_fig7_latency():
+    res = FIG7.points(full=True)
+    points, _raw = res
     by_wire = {p.wire_bytes: p.hrt_ns for p in points}
 
     # --- shape assertions -------------------------------------------------
@@ -39,22 +31,4 @@ def test_fig7_latency(benchmark, fig7_points):
     slope = (by_wire[64 * 64] - by_wire[16 * 64]) / (64 * 64 - 16 * 64)
     assert 0.30 < slope < 0.55, f"wire-limited slope, got {slope:.3f} ns/B"
 
-    rows = [(p.wire_bytes, p.payload_bytes, round(p.hrt_ns, 1)) for p in points]
-    txt = table(["wire bytes", "payload", "HRT ns"], rows,
-                title="Figure 7: TCCluster latency (reproduced, msglib ping-pong)")
-    txt += "\n\n" + series_plot([p.wire_bytes for p in points], hrts,
-                                label="half round trip (ns)")
-    # Supplementary: the raw remote-store ping-pong (no library).
-    raw = run_latency_sweep(sizes=(64, 1024), iters=40)
-    txt += "\n\nraw remote-store ping-pong: " + ", ".join(
-        f"{p.size}B={p.hrt_ns:.0f}ns" for p in raw
-    )
-    write_result("fig7_latency", txt)
-
-    sys_ = make_prototype()
-
-    def kernel():
-        return run_msglib_latency(slot_counts=(1,), iters=10, system=sys_)
-
-    result = benchmark(kernel)
-    assert result[0].hrt_ns < 400
+    write_result(FIG7.result, FIG7.table(res))

@@ -13,26 +13,15 @@ the Figure 6 peak *position* tracks the buffering, while the peak height
 import pytest
 
 from _common import write_result
-from repro.bench import (
-    run_link_speed_sweep,
-    run_posted_buffer_sweep,
-    table,
-)
+from repro.bench import run_posted_buffer_sweep, table
+from repro.bench.experiments import EXPERIMENTS
 from repro.util.units import fmt_bytes
 
-
-@pytest.fixture(scope="module")
-def speed_points():
-    return run_link_speed_sweep()
+FUTURES = EXPERIMENTS["futures"]
 
 
-@pytest.fixture(scope="module")
-def buffer_points():
-    return run_posted_buffer_sweep(buffer_packets=(512, 2048, 4096))
-
-
-def test_link_speed_scaling(benchmark, speed_points):
-    points = speed_points
+def test_link_speed_scaling():
+    points = FUTURES.points(full=True)
     assert [p.gbit_per_lane for p in points] == [1.6, 3.6, 5.2]
     # Sustained bandwidth improves once the cable limit is gone, then
     # saturates: with 64-byte posted writes, the northbridge command rate
@@ -49,25 +38,11 @@ def test_link_speed_scaling(benchmark, speed_points):
     # 64 B message rate is issue-limited, not wire-limited: barely moves.
     assert points[2].small_mbps == pytest.approx(points[0].small_mbps, rel=0.15)
 
-    rows = [(p.label, p.gbit_per_lane, round(p.sustained_mbps),
-             round(p.small_mbps), round(p.latency_ns, 1)) for p in points]
-    txt = table(
-        ["configuration", "Gbit/s/lane", "sustained MB/s", "64B MB/s",
-         "64B HRT ns"],
-        rows, title="Future link speeds (paper Section VI outlook)")
-    txt += ("\nnote: past ~3.6 Gbit/s/lane the northbridge command rate "
-            "(~20 ns per 64 B posted write) caps sustained bandwidth.")
-    write_result("futures_link_speed", txt)
-
-    def kernel():
-        return run_link_speed_sweep(rates=(("HT800", 1.6),))
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].gbit_per_lane == 1.6
+    write_result(FUTURES.result, FUTURES.table(points))
 
 
-def test_posted_buffer_knob(benchmark, buffer_points):
-    points = buffer_points
+def test_posted_buffer_knob():
+    points = run_posted_buffer_sweep(buffer_packets=(512, 2048, 4096))
     # Peak position tracks the buffer capacity...
     positions = [p.peak_at_bytes for p in points]
     assert positions == sorted(positions)
@@ -87,9 +62,3 @@ def test_posted_buffer_knob(benchmark, buffer_points):
         ["buffer pkts", "buffer", "peak at", "peak MB/s", "sustained MB/s"],
         rows, title="Posted-buffer calibration-knob sensitivity")
     write_result("futures_buffer_knob", txt)
-
-    def kernel():
-        return run_posted_buffer_sweep(buffer_packets=(512,))
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].buffer_packets == 512

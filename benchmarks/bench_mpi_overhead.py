@@ -6,20 +6,14 @@ matching on top of the raw library; the cost is tens of nanoseconds and
 shrinks (relatively) with message size.
 """
 
-import pytest
-
 from _common import write_result
-from repro.bench import table
-from repro.bench.mpi_bench import run_mpi_overhead
+from repro.bench.experiments import EXPERIMENTS
+
+MPI = EXPERIMENTS["mpi"]
 
 
-@pytest.fixture(scope="module")
-def overhead_points():
-    return run_mpi_overhead(payloads=(48, 512, 4096), iters=30)
-
-
-def test_mpi_overhead(benchmark, overhead_points):
-    points = overhead_points
+def test_mpi_overhead():
+    points = MPI.points(full=True)
     for p in points:
         # MPI is strictly slower than the raw library, but not wildly so.
         assert p.mpi_hrt_ns > p.msglib_hrt_ns
@@ -28,17 +22,4 @@ def test_mpi_overhead(benchmark, overhead_points):
     rels = [p.overhead_pct for p in points]
     assert rels[-1] < rels[0]
 
-    rows = [(p.payload, round(p.msglib_hrt_ns, 1), round(p.mpi_hrt_ns, 1),
-             round(p.overhead_ns, 1), f"{p.overhead_pct:.0f}%")
-            for p in points]
-    txt = table(
-        ["payload B", "msglib HRT ns", "MPI HRT ns", "overhead ns", "rel"],
-        rows, title="MPI middleware overhead over the raw message library",
-    )
-    write_result("mpi_overhead", txt)
-
-    def kernel():
-        return run_mpi_overhead(payloads=(48,), iters=8)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].payload == 48
+    write_result(MPI.result, MPI.table(points))

@@ -18,8 +18,8 @@ import pathlib
 import pytest
 
 from _common import write_result
-from repro.bench.ablation import run_ber_sweep
 from repro.bench import table
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.recovery import (
     RECOVERY_FIGURE_SPECS,
     calibrate_fail_down,
@@ -35,8 +35,7 @@ from repro.obs.metrics import fault_counters
 from repro.topology import chain
 from repro.util.units import MiB
 
-RATES = (0.0, 0.01, 0.05, 0.2)
-
+RELIABILITY = EXPERIMENTS["reliability"]
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_reliability.json"
 
@@ -103,13 +102,8 @@ def _run_fault_scenario(plan: FaultPlan, n_msgs: int = 80,
     }
 
 
-@pytest.fixture(scope="module")
-def ber_points():
-    return run_ber_sweep(error_rates=RATES)
-
-
-def test_link_retry_reliability(benchmark, ber_points):
-    points = ber_points
+def test_link_retry_reliability():
+    points = RELIABILITY.points(full=True)
     # --- lossless at every error rate ------------------------------------
     assert all(p.delivered_ok for p in points)
     # retries scale with the error rate
@@ -121,29 +115,15 @@ def test_link_retry_reliability(benchmark, ber_points):
     assert mbps == sorted(mbps, reverse=True)
     assert mbps[-1] > 0.4 * mbps[0], "20% per-packet errors still >40% tput"
 
-    rows = [(f"{p.error_rate:.2f}", round(p.mbps), p.retries,
-             "yes" if p.delivered_ok else "NO") for p in points]
-    txt = table(["pkt error rate", "MB/s (1 MiB)", "retries", "lossless"],
-                rows, title="HT3 retry under injected link errors")
-    write_result("reliability", txt)
-
-    def kernel():
-        return run_ber_sweep(error_rates=(0.05,), size=64 * 1024)
-
-    result = benchmark.pedantic(kernel, rounds=1, iterations=1)
-    assert result[0].delivered_ok
+    write_result(RELIABILITY.result, RELIABILITY.table(points))
 
 
-def test_link_flap_recovery(benchmark):
+def test_link_flap_recovery():
     """A mid-stream link flap: the stream must complete losslessly, with
     the stall bounded by the retrain time plus deadline-free NAK replay."""
     plan = FaultPlan().add(8_000.0, FaultKind.LINK_FLAP, 0,
                            duration_ns=20_000.0)
-
-    def kernel():
-        return _run_fault_scenario(plan)
-
-    point = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    point = _run_fault_scenario(plan)
     assert point["delivered"] == point["messages"], point
     assert not point["errors"]
     assert point["faults"].get("retrains", 0) >= 1
@@ -156,17 +136,13 @@ def test_link_flap_recovery(benchmark):
                        title="Link flap: lossless recovery via NAK + warm retrain"))
 
 
-def test_node_crash_rejoin_recovery(benchmark):
+def test_node_crash_rejoin_recovery():
     """Node crash + warm-reset rejoin through the firmware path: the
     stream rides through on retransmit, nothing is lost or duplicated."""
     plan = (FaultPlan()
             .add(8_000.0, FaultKind.NODE_CRASH, 1)
             .add(30_000.0, FaultKind.NODE_WARM_RESET, 1))
-
-    def kernel():
-        return _run_fault_scenario(plan)
-
-    point = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    point = _run_fault_scenario(plan)
     assert point["delivered"] == point["messages"], point
     assert not point["errors"]
     assert point["faults"].get("node_crashes") == 1
@@ -179,15 +155,11 @@ def test_node_crash_rejoin_recovery(benchmark):
                        title="Node crash + warm-reset rejoin recovery"))
 
 
-def test_fail_down_calibration(benchmark):
+def test_fail_down_calibration():
     """Retry-storm sweep: fail_down_threshold x storm BER, scored with a
     per-drop retransmit penalty.  The frozen default in ``ht.link`` must
     stay weakly optimal on the grid (self-validating calibration)."""
-
-    def kernel():
-        return run_fail_down_calibration()
-
-    points = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    points = run_fail_down_calibration()
     best, scores = calibrate_fail_down(points)
     assert best is not None, "no threshold survived the delivery guard"
     # Weak optimality: the shipped default scores within 1% of the
@@ -219,14 +191,10 @@ def test_fail_down_calibration(benchmark):
                              f"(default={FAIL_DOWN_THRESHOLD_DEFAULT})"))
 
 
-def test_recovery_latency_figure(benchmark):
+def test_recovery_latency_figure():
     """The recovery figure: end-to-end stall vs flap duration, storm
     magnitude, crash gap and topology, with a golden shape check."""
-
-    def kernel():
-        return run_recovery_figure()
-
-    fig = benchmark.pedantic(kernel, rounds=1, iterations=1)
+    fig = run_recovery_figure()
     assert set(fig) == {key for key, _ in RECOVERY_FIGURE_SPECS}
     # Every scenario on these topologies recovers completely.
     for key, p in fig.items():

@@ -7,7 +7,9 @@ Usage::
     python -m repro.bench --full fig6     # publication-size sweeps
 
 Available experiments: fig6, fig7, hops, ib, coherence, boot, endpoints,
-wc, ordering, reliability, futures, app, mpi, anatomy.
+wc, ordering, reliability, futures, app, mpi, anatomy.  Their arguments
+and tables live in :mod:`repro.bench.experiments`; ``--full`` prints
+exactly the text ``benchmarks/results/`` holds.
 """
 
 from __future__ import annotations
@@ -16,160 +18,8 @@ import argparse
 import sys
 import time
 
-from ..util.units import fmt_bytes
-from . import (
-    endpoint_footprint_table,
-    header,
-    run_bandwidth_sweep,
-    run_baseline_comparison,
-    run_boot_scaling,
-    run_coherence_scaling,
-    run_fan_in,
-    run_halo_comparison,
-    run_link_speed_sweep,
-    run_msglib_latency,
-    run_multihop,
-    run_ordering_ablation,
-    run_wc_ablation,
-    table,
-)
-from .ablation import run_ber_sweep
-from .anatomy import run_latency_anatomy
-from .mpi_bench import run_mpi_overhead
-
-
-def _fig6(full: bool) -> str:
-    sizes = tuple(64 << i for i in range(0, 17 if full else 13, 1 if full else 2))
-    pts = run_bandwidth_sweep(sizes=sizes)
-    weak = {p.size: p.mbps for p in pts if p.mode == "weak"}
-    strict = {p.size: p.mbps for p in pts if p.mode == "strict"}
-    rows = [(fmt_bytes(s), round(weak[s]), round(strict[s])) for s in sizes]
-    return table(["size", "weak MB/s", "strict MB/s"], rows,
-                 title="Figure 6: bandwidth")
-
-
-def _fig7(full: bool) -> str:
-    slots = (1, 2, 4, 8, 16, 32, 64) if full else (1, 2, 8, 16)
-    pts = run_msglib_latency(slot_counts=slots, iters=40 if full else 15)
-    rows = [(p.wire_bytes, round(p.hrt_ns, 1)) for p in pts]
-    return table(["wire bytes", "HRT ns"], rows, title="Figure 7: latency")
-
-
-def _hops(full: bool) -> str:
-    pts = run_multihop(iters=30 if full else 10)
-    rows = [(p.extra_hops, round(p.hrt_ns, 1)) for p in pts]
-    return table(["extra hops", "HRT ns"], rows, title="Multi-hop latency")
-
-
-def _ib(full: bool) -> str:
-    comp = run_baseline_comparison(sizes=(64, 1024, 1 << 20))
-    rows = [(r.baseline, r.size, round(r.tcc_mbps), round(r.baseline_mbps),
-             f"{r.ratio:.1f}x") for r in comp["bandwidth"]]
-    out = table(["baseline", "size", "TCC", "base", "adv"],
-                title="Bandwidth vs NIC baselines", rows=rows)
-    rows = [(r.baseline, round(r.tcc_mbps), round(r.baseline_mbps),
-             f"{r.ratio:.1f}x") for r in comp["latency"]]
-    return out + "\n\n" + table(["baseline", "TCC ns", "base ns", "adv"],
-                                rows=rows, title="64 B latency")
-
-
-def _coherence(full: bool) -> str:
-    nodes = (2, 4, 8, 16, 32, 64) if full else (2, 8, 32)
-    pts = run_coherence_scaling(node_counts=nodes,
-                                ops_per_node=40 if full else 20)
-    rows = [(p.nodes, p.protocol, round(p.avg_op_ns, 1),
-             round(p.probes_per_op, 1)) for p in pts]
-    return table(["nodes", "protocol", "ns/op", "probes/op"], rows,
-                 title="Coherence scaling")
-
-
-def _boot(full: bool) -> str:
-    pts = run_boot_scaling(sizes=(2, 4, 8) if full else (2, 4),
-                           mesh_sizes=(2, 3) if full else (2,))
-    rows = [(p.topology, f"{p.boot_ns / 1000:.1f}", p.tcc_links_verified)
-            for p in pts]
-    return table(["topology", "boot us", "TCC ends"], rows, title="Boot")
-
-
-def _endpoints(full: bool) -> str:
-    foot = endpoint_footprint_table((2, 32, 256, 512))
-    rows = [(f.endpoints, f.total_bytes) for f in foot]
-    out = table(["endpoints", "total bytes"], rows, title="Footprint")
-    pts = run_fan_in(sender_counts=(1, 2, 4) if not full else (1, 2, 4, 7),
-                     messages=16 if not full else 64)
-    rows = [(p.senders, round(p.aggregate_mbps)) for p in pts]
-    return out + "\n\n" + table(["senders", "MB/s"], rows, title="Fan-in")
-
-
-def _wc(full: bool) -> str:
-    pts = run_wc_ablation(size=(256 if full else 32) * 1024)
-    rows = [(p.mapping, p.packets, round(p.mbps)) for p in pts]
-    return table(["mapping", "packets", "MB/s"], rows, title="WC ablation")
-
-
-def _ordering(full: bool) -> str:
-    pts = run_ordering_ablation(size=(256 if full else 32) * 1024)
-    rows = [(str(p.fence_interval), round(p.mbps)) for p in pts]
-    return table(["fence interval", "MB/s"], rows, title="Ordering ablation")
-
-
-def _reliability(full: bool) -> str:
-    pts = run_ber_sweep(error_rates=(0.0, 0.05, 0.2),
-                        size=(1 << 20) if full else (256 << 10))
-    rows = [(p.error_rate, round(p.mbps), p.retries,
-             "yes" if p.delivered_ok else "NO") for p in pts]
-    return table(["pkt err rate", "MB/s", "retries", "lossless"], rows,
-                 title="Link retry under errors")
-
-
-def _futures(full: bool) -> str:
-    pts = run_link_speed_sweep()
-    rows = [(p.label, round(p.sustained_mbps), round(p.latency_ns, 1))
-            for p in pts]
-    return table(["config", "sustained MB/s", "64B HRT ns"], rows,
-                 title="Future link speeds")
-
-
-def _app(full: bool) -> str:
-    pts = run_halo_comparison(iters=5 if full else 3)
-    rows = [(p.fabric, f"{p.per_iter_ns / 1000:.2f}") for p in pts]
-    return table(["fabric", "per-iteration us"], rows,
-                 title="Jacobi halo exchange (identical MPI code)")
-
-
-def _anatomy(full: bool) -> str:
-    a = run_latency_anatomy()
-    rows = a.as_rows()
-    out = table(["stage", "start ns", "end ns", "duration ns"], rows,
-                title="Anatomy of one 64-byte message (one way)")
-    return out + f"\ntotal: {a.total_ns:.1f} ns store-entry to detection"
-
-
-def _mpi(full: bool) -> str:
-    pts = run_mpi_overhead(payloads=(48, 512, 4096),
-                           iters=30 if full else 10)
-    rows = [(p.payload, round(p.msglib_hrt_ns, 1), round(p.mpi_hrt_ns, 1),
-             round(p.overhead_ns, 1)) for p in pts]
-    return table(["payload", "msglib ns", "MPI ns", "overhead ns"], rows,
-                 title="MPI middleware overhead")
-
-
-EXPERIMENTS = {
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "hops": _hops,
-    "ib": _ib,
-    "coherence": _coherence,
-    "boot": _boot,
-    "endpoints": _endpoints,
-    "wc": _wc,
-    "ordering": _ordering,
-    "reliability": _reliability,
-    "futures": _futures,
-    "app": _app,
-    "mpi": _mpi,
-    "anatomy": _anatomy,
-}
+from .experiments import EXPERIMENTS
+from .reporting import header
 
 
 def main(argv=None) -> int:
@@ -187,7 +37,7 @@ def main(argv=None) -> int:
     for name in names:
         t0 = time.time()
         print(header(f"{name}"))
-        print(EXPERIMENTS[name](args.full))
+        print(EXPERIMENTS[name].text(args.full))
         print(f"[{time.time() - t0:.1f}s]\n")
     return 0
 

@@ -77,6 +77,7 @@ class BerPoint:
     """Throughput/latency under injected link errors (HT3 retry)."""
 
     error_rate: float
+    size: int
     mbps: float
     retries: int
     delivered_ok: bool
@@ -115,7 +116,7 @@ def run_ber_sweep(
         got = rinfo.chip.memory.read(32 * 1024 * 1024, min(size, 8 * MiB_))
         ok = got == expected[: len(got)]
         points.append(
-            BerPoint(ber, bandwidth_mbps(size, end - start),
+            BerPoint(ber, size, bandwidth_mbps(size, end - start),
                      link.stats("A").retries, ok)
         )
     return points

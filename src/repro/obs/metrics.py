@@ -311,10 +311,13 @@ def fault_counters(sim) -> "FaultCounters":
 
 
 class FlowCounters:
-    """Always-on macro-event (adaptive fidelity) counter family.
+    """Always-on flow-level macro-event counter family.
 
-    Covers both the WC store trains (:mod:`repro.opteron.train`) and the
-    flow-level layer (:mod:`repro.sim.flows`).  Like
+    Covers the flow-level layer (:mod:`repro.sim.flows`): msglib slot
+    spans, remote read chains and multi-hop forwarding.  The WC store
+    trains (:mod:`repro.opteron.train`) count in their northbridge's
+    ``nb.counters`` instead (``train_windows``, ``train_lines``,
+    ``train_demotions``).  Like
     :class:`FaultCounters` these are plain attributes bumped directly by
     the fast paths -- one increment per *window*, not per packet -- and
     are not part of the golden distilled metrics: they describe how much
@@ -410,10 +413,12 @@ class BootImageCounters:
     these counters live at process scope: ``built`` counts cold boots
     captured into images, ``restored`` counts systems instantiated from
     an image, and ``cache_hits`` counts :func:`repro.cluster.snapshot.
-    image_for` lookups satisfied without booting.  Sweep points publish
-    *deltas* of these as payload metrics so a parallel run's merged
-    report proves image reuse across workers (the CI DSE smoke asserts
-    built == distinct signatures, restored == points).
+    image_for` lookups satisfied without booting.  Counts are per
+    process, so a pool worker's are not visible to the parent: the DSE
+    harness reads deltas of them inside each point into
+    ``DsePoint.builds`` and ``DsePoint.restores``, and its CI smoke
+    asserts that the summed builds are zero and the summed restores at
+    least the number of points.
     """
 
     __slots__ = ("built", "restored", "cache_hits")

@@ -200,7 +200,7 @@ def test_coherence_scaling_parallel_equals_serial():
 # ---------------------------------------------------------------------------
 
 
-def test_write_result_atomic_and_namespaced(tmp_path, monkeypatch):
+def test_write_result_atomic(tmp_path, monkeypatch):
     import importlib.util
     import pathlib
 
@@ -213,8 +213,7 @@ def test_write_result_atomic_and_namespaced(tmp_path, monkeypatch):
     monkeypatch.setattr(mod, "RESULTS_DIR", tmp_path)
     mod.write_result("fig", "hello")
     assert (tmp_path / "fig.txt").read_text() == "hello\n"
-    mod.write_result("fig", "world", point="64B")
-    assert (tmp_path / "fig.64B.txt").read_text() == "world\n"
-    assert (tmp_path / "fig.txt").read_text() == "hello\n"
+    mod.write_result("fig", "world")
+    assert (tmp_path / "fig.txt").read_text() == "world\n"
     # no tmp droppings left behind
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
