@@ -19,7 +19,8 @@ model's accuracy.  Three scenarios:
 * ``mesh_4x4``      -- the ROADMAP scale-out scenario: a 16-blade mesh
   with eight link-disjoint 512 KiB bulk transfers, run with the
   adaptive-fidelity bulk-train fast path off (per-packet baseline) and
-  on; gated on the deterministic event count of the adaptive run.
+  on (trains with commit-span destination commits); gated on the
+  deterministic event count of the adaptive run.
 * ``datapath_churn`` -- a 1 MiB aligned store pushed through the
   *per-packet* data plane (adaptive fidelity off): every cache line
   becomes a real pooled packet.  Reports the zero-copy counters
@@ -28,9 +29,9 @@ model's accuracy.  Three scenarios:
   deterministic event count.
 * ``read_chain``     -- 256 KiB of remote memory pulled as 4096
   sequential coherent cacheline reads (the read-heavy counterpart of the
-  fig6 store sweeps), per-packet vs ``flow_fidelity`` ReadFlow macro
-  schedules; virtual time must match exactly and the macro event count
-  is gated.
+  fig6 store sweeps), per-packet vs ``adaptive_fidelity`` ReadFlow
+  macro schedules; virtual time must match exactly and the macro event
+  count is gated.
 * ``collectives``    -- a 64 KiB allreduce across 16 ranks on
   torus2d(4,4): bandwidth-optimal ring (Hamiltonian single-hop
   embedding, flow-span bulk phases) vs binomial reduce+broadcast,
@@ -569,7 +570,7 @@ def _run_read_chain(fidelity: bool):
     node0's core pulls ``READ_CHAIN_BYTES`` of node1's DRAM through the
     coherent fabric link -- 4096 sequential cacheline read/response round
     trips, the read-heavy counterpart of the fig6 store sweeps.  With
-    ``flow_fidelity`` on, each read promotes to a :class:`ReadFlow`
+    ``adaptive_fidelity`` on, each read promotes to a :class:`ReadFlow`
     macro schedule (request, remote issue, response and completion as
     three calendar entries plus the DRAM commit); per-packet mode walks
     every request and response through queue, pump, wire and crossbar.
@@ -580,7 +581,6 @@ def _run_read_chain(fidelity: bool):
     proto = build_single_board_prototype()
     sim = proto.sim
     sim.features.adaptive_fidelity = fidelity
-    sim.features.flow_fidelity = fidelity
     proto.boot()
     node0, node1 = proto.node0, proto.node1
     data = bytes(range(256)) * (READ_CHAIN_BYTES // 256)
@@ -611,8 +611,8 @@ def _run_read_chain(fidelity: bool):
 
 
 def bench_read_chain():
-    """Flow-level fidelity on the read/response path: per-packet vs
-    ReadFlow macro schedules, virtual time bit-identical."""
+    """Macro events on the read/response path: per-packet vs ReadFlow
+    macro schedules, virtual time bit-identical."""
     per_packet = _run_read_chain(fidelity=False)
     macro = _run_read_chain(fidelity=True)
     assert per_packet["virtual_ns"] == macro["virtual_ns"], (
@@ -819,7 +819,7 @@ def main(argv=None) -> int:
             "speedup_x", "skipped"),
         "mesh_adaptive_fidelity_x": scenarios["mesh_4x4"]["speedup_x"],
         "torus_ring_flow_fidelity_x": scenarios["torus_ring"]["speedup_x"],
-        "read_chain_flow_fidelity_x": scenarios["read_chain"]["speedup_x"],
+        "read_chain_adaptive_fidelity_x": scenarios["read_chain"]["speedup_x"],
         "boot_image_phase_x": {
             k: v["boot_phase_x"]
             for k, v in scenarios["boot_amortization"].items()
@@ -862,7 +862,7 @@ def main(argv=None) -> int:
              "torus-ring flow-fidelity scenario"),
             ("read_chain_events_max",
              scenarios["read_chain"]["macro"]["events"],
-             "read-chain flow-fidelity scenario"),
+             "read-chain ReadFlow scenario"),
             ("collectives_events_max",
              scenarios["collectives"]["events"],
              "collectives ring-allreduce scenario"),

@@ -156,10 +156,9 @@ class _Direction:
             credits[done_ev.value.vc].give()
 
         self._credit_cb = _return_credit
-        #: Macro window owning this direction (a bulk train or a flow, see
-        #: repro.sim.flows.MacroWindow); foreign sends demote it first
-        #: (Link.demote_macros).  An absorbing window additionally
-        #: intercepts deliveries on its in-direction (multi-hop forwarding).
+        #: Macro window owning this direction (a bulk train or a read
+        #: flow, see repro.sim.flows.MacroWindow); foreign sends demote it
+        #: first (Link.demote_macros).
         self._macro = None
         #: Burst-window deliveries pushed into the calendar but not yet
         #: past their serialization end: (cancel_seq, ser_end, pkt, vc).
@@ -385,14 +384,6 @@ class _Direction:
 
     def _deliver(self, pkt: Packet, vc: VirtualChannel) -> None:
         link = self.link
-        f = self._macro
-        if f is not None and f.absorbs and f.d_in is self:
-            # A forwarding flow absorbs matching packets at the delivery
-            # point; a surprise packet demotes it first (abort reproduces
-            # the rx loop's residual busy window) and then takes the
-            # ordinary path below.
-            if f.offer(pkt):
-                return
         if link.tracer.enabled:
             # Keep the deferred wake so the rx trace record lands before
             # any receiver reaction at the same timestamp.
@@ -630,14 +621,11 @@ class Link:
         error injection, credit theft) invalidates their schedules.
 
         With ``side`` (a send from that side) only that direction's owner
-        is demoted, and not when it absorbs there: an absorbing window's
-        in-direction is fed by exactly this upstream sender, and its
-        packets are filtered at delivery instead."""
+        is demoted."""
         now = self.sim._now
         if side is not None:
-            d = self._dirs[side]
-            m = d._macro
-            if m is not None and not (m.absorbs and m.d_in is d):
+            m = self._dirs[side]._macro
+            if m is not None:
                 m.demote(now)
             return
         for d in self._dirs.values():

@@ -314,7 +314,9 @@ class FlowCounters:
     """Always-on flow-level macro-event counter family.
 
     Covers the flow-level layer (:mod:`repro.sim.flows`): msglib slot
-    spans, remote read chains and multi-hop forwarding.  The WC store
+    spans and remote read chains.  Multi-hop forwarding runs per packet;
+    its ``forward_*`` fields stay 0 and are kept because
+    ``benchmarks/perf`` reads every field.  The WC store
     trains (:mod:`repro.opteron.train`) count in their northbridge's
     ``nb.counters`` instead (``train_windows``, ``train_lines``,
     ``train_demotions``).  Like

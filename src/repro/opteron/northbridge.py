@@ -32,11 +32,12 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..ht.link import Link, LinkDownError, LinkSide, LinkState
+from ..ht.link import Link, LinkDownError, LinkState
 from ..ht.packet import Command, Packet, make_read, make_read_response, make_target_done, pool_for
 from ..ht.tags import ResponseMatchingTable, UnroutableResponseError
 from ..obs.metrics import fault_counters, flow_counters, metrics_for
 from ..sim import AnyOf, Counter, Event, Simulator, Store
+from ..sim.flows import ReadFlow
 from ..util.calibration import TimingModel
 from . import registers as regs_mod
 from .registers import (
@@ -480,18 +481,16 @@ class Northbridge:
         tag = self.tags.allocate(dst_node, context=response)
         pkt = make_read(addr, length // 4, srctag=tag, unitid=self.nodeid, coherent=True)
         port = self._fabric_port_for(dst_node)
-        if self.sim.features.flow_fidelity:
-            from ..sim.flows import ReadFlow
-
-            if ReadFlow.plan(self, port, pkt, addr, length) is not None:
-                fl = flow_counters(self.sim)
-                if self._read_flow_port != port:
-                    self._read_flow_port = port
-                    fl.read_windows += 1
-                fl.read_reads += 1
-                data = yield response
-                self.counters.inc("remote_reads")
-                return data
+        if (self.sim.features.adaptive_fidelity
+                and ReadFlow.plan(self, port, pkt, addr, length) is not None):
+            fl = flow_counters(self.sim)
+            if self._read_flow_port != port:
+                self._read_flow_port = port
+                fl.read_windows += 1
+            fl.read_reads += 1
+            data = yield response
+            self.counters.inc("remote_reads")
+            return data
         try:
             yield self._send_on_port(port, pkt)
         except LinkDownError:
@@ -763,7 +762,6 @@ class Northbridge:
                     yield from self._local_access(pkt, port)
             elif r.kind in (RouteKind.MMIO_LOCAL_LINK, RouteKind.MMIO_REMOTE,
                             RouteKind.DRAM_REMOTE):
-                coh0 = pkt.coherent
                 if r.kind is RouteKind.MMIO_LOCAL_LINK:
                     out_port = r.dst_link
                     if pkt.coherent:
@@ -777,24 +775,6 @@ class Northbridge:
                 if out_port == port:
                     counters_inc("routing_loops")
                     continue
-                if (self.sim.features.flow_fidelity
-                        and pkt.cmd is Command.WRITE_POSTED
-                        and pkt.mask is None
-                        and not (coh0
-                                 and r.kind is RouteKind.MMIO_LOCAL_LINK)):
-                    # Multi-hop forwarding fast path: promote while the
-                    # out direction is still quiescent; the flow absorbs
-                    # this packet and the rest of the run at the delivery
-                    # point.
-                    from ..sim.flows import ForwardFlow
-
-                    d_in = link._dirs[LinkSide.other(side)]
-                    b_out = self.chip.ports.get(out_port)
-                    if (b_out is not None
-                            and ForwardFlow.eligible(self, d_in, b_out, pkt)):
-                        ForwardFlow(self, d_in, b_out, out_port, pkt)
-                        counters_inc("forwarded")
-                        continue
                 try:
                     ev = self._send_on_port_fast(out_port, pkt)
                 except LinkDownError:
@@ -813,6 +793,22 @@ class Northbridge:
 
             ready = self._dram_ready_cache = DramConfigAccessor(self.regs).initialized
         return ready
+
+    def _dram_read_port(self, addr: int, length: int,
+                        unitid: int) -> Optional[int]:
+        """The port a coherent read of ``[addr, addr+length)`` from node
+        ``unitid`` is answered on, when the whole range is readable local
+        DRAM; None otherwise (the ReadFlow promotion test)."""
+        try:
+            r = self.route(addr)
+            r2 = self.route(addr + length - 1)
+            port = self._fabric_port_for(unitid, route="response")
+        except MasterAbort:
+            return None
+        if (r.kind is not RouteKind.DRAM_LOCAL or not r.readable
+                or r2.kind is not r.kind or not self._dram_ready()):
+            return None
+        return port
 
     def _local_access(self, pkt: Packet, port: int,
                       offset: Optional[int] = None):

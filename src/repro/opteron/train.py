@@ -18,12 +18,14 @@ then runs the whole train at *aggregate fidelity*:
   (WC stats, ``mmio_writes``, link TX stats, posted-queue depth metric
   samples) are applied lazily at the virtual times they would have
   occurred;
-* the receiver side stays *real*: one calendar callback per packet at
-  the exact per-packet commit instant performs the destination's
-  ``memctrl.write_posted`` and ``rx_writes`` accounting, so destination
-  memory timing, receiver polling and doorbells are bit-identical to
-  per-packet mode (this is what lets many trains run concurrently in a
-  mesh).
+* the receiver side stays exact: the destination commits become one
+  :class:`~repro.sim.flows.CommitSpan` on the destination memory
+  controller, which folds each line's arrival into the controller's FCFS
+  port arithmetic at its exact per-packet instant, so destination memory
+  timing, receiver polling and doorbells are bit-identical to per-packet
+  mode (this is what lets many trains run concurrently in a mesh).  With
+  a tracer on the destination controller, a chain of one calendar
+  callback per line performs the real ``memctrl.write_posted`` instead.
 
 **Demotion.**  A train is a :class:`~repro.sim.flows.MacroWindow`: the
 schedule is only valid while it owns its northbridge and link direction.
@@ -55,6 +57,7 @@ Known, documented divergences (DESIGN.md section 8.2):
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, List, Optional
 
@@ -395,14 +398,14 @@ class BulkTrain(MacroWindow):
         # Cancellable rather than guarded no-ops: a stale entry would
         # still drag the clock out to t_final when an interrupt makes the
         # calendar drain early.
-        if sim.features.flow_fidelity and not self.dest_mc.tracer.enabled:
-            # Flow-level fidelity: the whole destination commit schedule
-            # becomes one arithmetic span on the controller instead of
-            # two calendar entries per line (see repro.sim.flows).
+        if not self.dest_mc.tracer.enabled:
+            # The whole destination commit schedule becomes one
+            # arithmetic span on the controller instead of two calendar
+            # entries per line (see repro.sim.flows.CommitSpan).
             off = self._mcw_off
             self._span = CommitSpan(
                 sim, self.dest_mc, self.dest_nb, self._offs, self._mv,
-                [s + off for s in self.ss], CACHELINE)
+                array("d", [s + off for s in self.ss]), CACHELINE)
         else:
             self._chain.arm(self.ss[0] + self._mcw_off, self._commit, (0,))
         self._complete_e.arm(self.t_end, self._complete, None)
@@ -411,7 +414,8 @@ class BulkTrain(MacroWindow):
     def _commit(self, i: int) -> None:
         """Receiver-side commit of packet ``i`` at its exact per-packet
         instant: the real destination memory write plus rx accounting.
-        One live calendar entry walks the whole train."""
+        One live calendar entry walks the train (traced destinations, and
+        a demoted commit span's not-yet-arrived tail)."""
         self._chain.fired()
         if i >= self.cut:
             return
@@ -472,9 +476,9 @@ class BulkTrain(MacroWindow):
         if self._chain_idx >= nser:
             self._chain.cancel()
         if self._span is not None:
-            # Flow-level commit span: flushed commits stay, in-flight ones
-            # become real calendar entries, and the not-yet-arrived tail
-            # (strictly before the cut) re-arms the classic per-line chain.
+            # Commit span: flushed commits stay, in-flight ones become
+            # real calendar entries, and the not-yet-arrived tail
+            # (strictly before the cut) re-arms the per-line chain.
             j0 = self._span.abort(T)
             self._span = None
             if j0 < nser:

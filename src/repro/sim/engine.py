@@ -72,16 +72,19 @@ class SimFeatures:
     #: Serialize back-to-back same-VC link packets as one bulk occupancy
     #: event with arithmetically computed delivery times.
     burst_serialization: bool = True
-    #: Collapse an uncontended bulk WC store's whole packet train
-    #: (fill/dispatch/serialize pipeline) into closed-form arithmetic,
-    #: demoting back to per-packet mode the instant anything else touches
-    #: the involved queues (see repro.opteron.train).
+    #: Every macro path that pays in wall-clock: an uncontended bulk WC
+    #: store's whole packet train (fill/dispatch/serialize pipeline) in
+    #: closed-form arithmetic, its destination commits as one arithmetic
+    #: span (``CommitSpan``), and same-route remote read chains
+    #: (``ReadFlow``).  Each demotes back to per-packet mode the instant
+    #: anything else touches the involved queues (see repro.opteron.train
+    #: and repro.sim.flows).
     adaptive_fidelity: bool = True
-    #: Flow-level macro events for the remaining traffic classes: msglib
-    #: ring slot writes, same-route remote read/response chains and
-    #: multi-hop forwarding (see repro.sim.flows).  Default off -- the
-    #: flag only changes wall-clock cost, never virtual time, but keeping
-    #: it opt-in pins every recorded event-count gate bit-identical.
+    #: Coalesce runs of msglib eager ring slots into one span store that
+    #: rides a bulk train (see repro.sim.flows.plan_eager_span).  Default
+    #: off: a slot span inherits the train's inexact demotion on a link
+    #: ``bring_down``, which moves pinned fault-recovery results, so it
+    #: stays opt-in until that demotion is exact.
     flow_fidelity: bool = False
 
 
@@ -606,6 +609,12 @@ class Simulator:
         #: pool's lifetime is exactly the simulation's lifetime: a fresh
         #: simulator can never see recycled objects from a previous run.
         self._packet_pool = None
+        #: Memory controllers holding arithmetic commit spans
+        #: (:class:`repro.sim.flows.CommitSpan`), insertion-ordered.  Every
+        #: return from :meth:`run` / :meth:`run_until_event` flushes their
+        #: DRAM content and write accounting up to ``now``, so a caller
+        #: inspecting memory between runs sees the per-packet state.
+        self._span_hosts: dict = {}
 
     # -- clock -----------------------------------------------------------
     @property
@@ -790,6 +799,8 @@ class Simulator:
             # runs, never from inside a calendar callback.
             self._event_count += executed
             self._running = False
+            if self._span_hosts:
+                self._settle()
         return self._now
 
     def run_until_event(self, ev: Event, limit: Optional[float] = None) -> Any:
@@ -848,9 +859,17 @@ class Simulator:
         finally:
             self._event_count += executed
             self._running = False
+            if self._span_hosts:
+                self._settle()
         if not ev.ok:
             raise ev.value
         return ev.value
+
+    def _settle(self) -> None:
+        """Make commit-span DRAM content real up to ``now`` (run exit)."""
+        now = self._now
+        for mc in self._span_hosts:
+            mc.flush_spans(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now} pending={len(self._heap)}>"

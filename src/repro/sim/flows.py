@@ -1,11 +1,25 @@
-"""Flow-level adaptive fidelity: macro events for the remaining traffic
-classes.
+"""Flow-level adaptive fidelity: macro events beyond the store train.
 
 :mod:`repro.opteron.train` proved the macro-event pattern for one traffic
 class -- the uncontended bulk WC store -- by replacing the per-packet
 pipeline with a closed-form schedule plus an *exact demotion* path that
 reconstructs per-packet state at an arbitrary instant.  This module
-generalizes the pattern to the classes that still ran packet by packet:
+carries the pattern to the train's destination and to two more classes:
+
+* **destination commit spans** (:class:`CommitSpan`): a train's per-line
+  DRAM commits become one arithmetic span on the destination memory
+  controller instead of two calendar entries per line.  Port arbitration
+  against foreign claims stays exact; content and write accounting are
+  made real lazily at observation points, including every return from
+  ``Simulator.run``.
+
+* **read/response chains** (:class:`ReadFlow`): a run of same-route
+  remote reads through one quiescent link is collapsed to two calendar
+  entries per read (the DRAM issue instant and the response-complete
+  instant) instead of the ~10-entry request/response pipeline.  The
+  destination memory controller is still *really* called at the exact
+  per-packet issue instant, so port arbitration against unrelated local
+  traffic (receive-side polling!) stays exact.
 
 * **msglib ring slot traffic** (:func:`plan_eager_span`): an uncontended
   run of eager ring-slot writes is coalesced into one contiguous
@@ -17,40 +31,31 @@ generalizes the pattern to the classes that still ran packet by packet:
   demotion therefore come for free -- the train's own abort replays the
   identical per-line instants.
 
-* **read/response chains** (:class:`ReadFlow`): a run of same-route
-  remote reads through one quiescent link is collapsed to two calendar
-  entries per read (the DRAM issue instant and the response-complete
-  instant) instead of the ~10-entry request/response pipeline.  The
-  destination memory controller is still *really* called at the exact
-  per-packet issue instant, so port arbitration against unrelated local
-  traffic (receive-side polling!) stays exact.
-
-* **multi-hop forwarding** (:class:`ForwardFlow`): an intermediate
-  supernode absorbs same-route packets at the link delivery point and
-  re-emits them on the next hop with one calendar entry per packet,
-  instead of waking the rx loop, sleeping the forward latency and
-  running the transmit pump per packet.  Chained hop by hop this
-  propagates a macro flow across supernodes while the links stay clean.
-
-Contract (DESIGN.md section 12): the flows here and the bulk train are
-all :class:`MacroWindow` subclasses.  A window may only *promote* while
-every queue, credit pool and resource it would bypass is quiescent and
+Contract (DESIGN.md section 12): :class:`ReadFlow` and the bulk train are
+:class:`MacroWindow` subclasses.  A window may only *promote* while every
+queue, credit pool and resource it would bypass is quiescent and
 deterministic; any foreign interaction -- a send on an owned link
 direction, a fault injection, a BER/rate change, a link state change --
 must *demote* it first, reconstructing bit-identical per-packet state at
-the demotion instant.  Flows change wall-clock cost, never virtual time;
-``SimFeatures.flow_fidelity`` (default off) gates them all.
+the demotion instant.  Fault-free, the flows change wall-clock cost,
+never virtual time.  ``SimFeatures.adaptive_fidelity`` (default on)
+gates commit spans and read flows together with the train;
+``SimFeatures.flow_fidelity`` (default off) gates only slot-span
+coalescing, because a span rides a train whose demotion on a link
+``bring_down`` is not yet exact.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
+from ..ht.packet import make_read_response
+from ..obs.metrics import flow_counters
 from .engine import MacroEntry
 
-__all__ = ["MacroWindow", "plan_eager_span", "CommitSpan", "ReadFlow",
-           "ForwardFlow"]
+__all__ = ["MacroWindow", "plan_eager_span", "CommitSpan", "ReadFlow"]
 
 _INF = float("inf")
 
@@ -76,11 +81,6 @@ class MacroWindow:
     """
 
     __slots__ = ("sim", "_owners", "_closed")
-
-    #: True for a window that intercepts deliveries on its in-direction
-    #: ``d_in``.  Sends into that direction are its expected feed, so
-    #: ``Link.demote_macros`` leaves it alone for them.
-    absorbs = False
 
     def __init__(self, sim):
         self.sim = sim
@@ -156,23 +156,11 @@ def _finish_serialization(d, pkt, ser_end: float, ser: float) -> None:
         else:
             d.stats.busy_ns += ser
             d.credits[pkt.vc].give()
-            _repump(d, pkt)
+            q = d.txq[pkt.vc]
+            q.unget(pkt)
+            q._wake_getter()
 
     sim._push(ser_end, _end, None)
-
-
-def _repump(d, pkt) -> None:
-    """Return ``pkt`` to the head of its TX queue and wake the pump."""
-    q = d.txq[pkt.vc]
-    q.unget(pkt)
-    q._wake_getter()
-
-
-def _unpark(rx, getter) -> None:
-    """Give a stolen rx-loop getter back at the head of ``rx`` and wake it:
-    the busy window the steal stood in for has closed."""
-    rx._getters.appendleft(getter)
-    rx._wake_getter()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +228,9 @@ class CommitSpan:
     * ``_flushed``  -- commits whose DRAM content, ``writes`` accounting
       and doorbell rings have been applied.  Flushing happens at
       observation points only: a foreign commit, a direct sample, a
-      doorbell wake, demotion, or the span's finalize entry.
+      doorbell wake, demotion, the span's finalize entry, or a return
+      from ``Simulator.run`` / ``run_until_event`` (the controller is
+      listed in ``sim._span_hosts`` while it holds spans).
     * deferred doorbell rings -- the span registers as a *provider* on
       every watched doorbell overlapping its range, so ``Doorbell.count``
       reads fold in rings that exist arithmetically, and a calendar
@@ -264,12 +254,15 @@ class CommitSpan:
         self.dest_nb = dest_nb
         self.offs = offs
         self.mv = mv
+        # Per-line instants are packed doubles (``times`` arrives as an
+        # ``array("d")`` too): as lists, the two series of 64 concurrent
+        # 256 KiB trains would hold 16 MiB of float objects, not 4 MiB.
         self.times = times            # exact per-line write_posted instants
         self.K = len(offs)
         self.line = line
         self.occ = mc._occupancy_ns(line)
         self._lat = mc.timing.dram_write_ns
-        self._c = []                  # commit instants, filled as applied
+        self._c = array("d")          # commit instants, filled as applied
         self._applied = 0
         self._flushed = 0
         self._contig = all(offs[i + 1] - offs[i] == line
@@ -286,6 +279,7 @@ class CommitSpan:
                 self._recs.append((db, idxs))
                 db._providers.append(self)
         mc._spans.append(self)
+        sim._span_hosts[mc] = None
         # A consumer already parked before this span existed (the usual
         # receive pattern: park first, traffic arrives later) would never
         # hit the park-time arming hook -- arm for it now.
@@ -443,7 +437,10 @@ class CommitSpan:
         self._entries.clear()
         for db, _ in self._recs:
             db._providers.remove(self)
-        self.mc._spans.remove(self)
+        mc = self.mc
+        mc._spans.remove(self)
+        if not mc._spans:
+            del self.sim._span_hosts[mc]
 
     def abort(self, T: float) -> int:
         """Demote: make the per-packet state real at instant ``T``.
@@ -510,8 +507,6 @@ class ReadFlow(MacroWindow):
         pools mean nothing can arrive on either direction until a foreign
         send happens -- and a foreign send demotes the flow first.
         """
-        from ..opteron.northbridge import MasterAbort, RouteKind
-
         binding = nb.chip.ports.get(port)
         if binding is None or nb._m.enabled:
             return None
@@ -535,14 +530,8 @@ class ReadFlow(MacroWindow):
                 or pkt.unitid == dest_nb.nodeid
                 or dest_chip.memctrl.tracer.enabled):
             return None
-        try:
-            r = dest_nb.route(addr)
-            r2 = dest_nb.route(addr + length - 1)
-            resp_port = dest_nb._fabric_port_for(pkt.unitid, route="response")
-        except MasterAbort:
-            return None
-        if (r.kind is not RouteKind.DRAM_LOCAL or not r.readable
-                or r2.kind is not r.kind or not dest_nb._dram_ready()):
+        resp_port = dest_nb._dram_read_port(addr, length, pkt.unitid)
+        if resp_port is None:
             return None
         rb = dest_nb.chip.ports.get(resp_port)
         if rb is None or rb.link is not link or rb.side != rsp_side:
@@ -593,8 +582,6 @@ class ReadFlow(MacroWindow):
         """The DRAM read committed (t_r): build the response and either
         schedule the completion arithmetically (macro) or route it for
         real (demoted while the read was in flight)."""
-        from ..ht.packet import make_read_response
-
         sim = self.sim
         self.t_r = sim._now
         pkt = self.pkt
@@ -622,15 +609,18 @@ class ReadFlow(MacroWindow):
         self._restore_getter(self.req_d.rx)
 
     def _steal_getter(self, rx) -> None:
-        """Hold ``rx``'s parked rx loop busy (see :func:`_unpark`)."""
+        """Hold ``rx``'s parked rx loop busy for the per-packet busy
+        window (:meth:`_restore_getter` ends it)."""
         if self._getter is None and rx._getters:
             self._getter = rx._getters.popleft()
 
     def _restore_getter(self, rx) -> None:
+        """Give the stolen getter back at the head of ``rx`` and wake it."""
         getter = self._getter
         if getter is not None:
             self._getter = None
-            _unpark(rx, getter)
+            rx._getters.appendleft(getter)
+            rx._wake_getter()
 
     def _complete(self, _=None) -> None:
         """E3 (t_done): response consumed and matched at the requester."""
@@ -651,8 +641,6 @@ class ReadFlow(MacroWindow):
     def _demote(self, T: float) -> None:
         """Make the per-packet state real for whatever phase the read is
         in at ``T`` and let the ordinary machinery finish the job."""
-        from ..obs.metrics import flow_counters
-
         flow_counters(self.sim).read_demotions += 1
         self.nb._read_flow_port = None
         if self._e1.armed:
@@ -690,226 +678,3 @@ class ReadFlow(MacroWindow):
         _account_tx(d, pkt, ser)
         self._demoted = True
         self._steal_getter(d.rx)
-
-
-# ---------------------------------------------------------------------------
-# Multi-hop forwarding
-# ---------------------------------------------------------------------------
-
-class ForwardFlow(MacroWindow):
-    """Absorb a uniform run of same-route posted packets at an
-    intermediate supernode without waking its rx loop or transmit pump
-    per packet.
-
-    The hop's rx loop creates the flow after forwarding one packet the
-    per-packet way; subsequent deliveries on the same in-direction that
-    still route to the same out-port are intercepted at the link delivery
-    point (:meth:`offer`), the crossbar forward latency and the out-link
-    serializer chain are computed arithmetically, and one delivery entry
-    per packet lands on the next hop -- where the next hop's rx loop
-    creates its own flow, chaining the macro across supernodes.
-
-    Eligibility pins the case where the arithmetic is a theorem: equal
-    link rates and uniform wire size make the out serializer gap-free
-    (each departure starts exactly when the previous serialization ends),
-    so the phy is held across the window and released exactly when the
-    per-packet pump would go idle; an in-link serialization no shorter
-    than the forward latency means the rx loop always re-parks before the
-    next arrival, so per-packet pop instants equal arrival instants.  The
-    route is re-sampled per packet, so an interval-routing update closes
-    the flow instead of misforwarding.
-
-    Demotion: not-yet-departed packets are handed to the real pump at
-    their exact pop instants, an in-flight serialization completes with
-    the phy held and then delivers or NAKs per link state, on-cable
-    deliveries stand, and the rx loop's residual busy window is
-    reproduced by stealing its parked getter until the window closes.
-    An idle flow (chain drained, nothing pending) closes itself so
-    trains and other flows can claim the directions again.
-    """
-
-    absorbs = True
-
-    __slots__ = ("nb", "d_in", "link_in", "d_out", "link_out", "out_port",
-                 "fwd", "ser_out", "wire", "_phy_held", "_last_end",
-                 "_last_arrival", "_rel", "_pending")
-
-    @classmethod
-    def eligible(cls, nb, d_in, binding_out, pkt0) -> bool:
-        link_out = binding_out.link
-        link_in = d_in.link
-        if (link_in.tracer.enabled or nb._m.enabled
-                or d_in._macro is not None):
-            return False
-        if link_out._rate != link_in._rate:
-            return False
-        if link_in.serialization_ns(pkt0) < nb.timing.nb_forward_ns:
-            return False
-        d_out = link_out._dirs[binding_out.side]
-        if not cls.quiescent(d_out):
-            return False
-        for cred in d_out.credits.values():
-            if cred._credits != cred.initial:
-                return False
-        # Called from inside the hop's rx loop (it is running, not
-        # parked): the in-direction must have no backlog -- queued
-        # packets would be processed per-packet behind freshly absorbed
-        # ones, reordering the stream -- and no other consumer.
-        if d_in.rx._items or d_in.rx._getters:
-            return False
-        return True
-
-    def __init__(self, nb, d_in, binding_out, out_port, pkt0):
-        from ..obs.metrics import flow_counters
-
-        sim = nb.sim
-        super().__init__(sim)
-        self.nb = nb
-        self.d_in = d_in
-        self.link_in = d_in.link
-        self.link_out = binding_out.link
-        self.d_out = binding_out.link._dirs[binding_out.side]
-        self.out_port = out_port
-        self.fwd = nb.timing.nb_forward_ns
-        self.ser_out = self.link_out.serialization_ns(pkt0)
-        self.wire = pkt0.wire_bytes(self.link_in._crc_bytes)
-        # The trigger packet arrived one forward latency ago (the rx loop
-        # just finished its busy window for it).
-        self._last_arrival = sim._now - self.fwd
-        self._phy_held = False
-        self._rel = MacroEntry(sim)
-        #: (pkt, depart_start, depart_end, delivery entry) not yet past
-        #: serialization.
-        self._pending = []
-        self._claim(d_in, self.d_out)
-        flow_counters(sim).forward_windows += 1
-        # Absorb the trigger itself: the direction was fully quiescent, so
-        # the per-packet pump would pop it at this very instant -- take
-        # its credit and serializer window here instead.
-        self.d_out.credits[pkt0.vc].try_take()
-        self._depart(pkt0, sim._now)
-
-    def _depart(self, pkt, s: float) -> None:
-        """Serialize ``pkt`` on the out link from ``s`` (phy held across
-        the chain) and book its speculative delivery at the next hop."""
-        from ..obs.metrics import flow_counters
-
-        e = s + self.ser_out
-        self._last_end = e
-        if not self._phy_held:
-            self.d_out.phy.try_acquire()
-            self._phy_held = True
-        ent = MacroEntry(self.sim)
-        ent.arm(e + self.link_out.propagation_ns, self._deliver_one, (pkt,))
-        self._pending.append((pkt, s, e, ent))
-        flow_counters(self.sim).forward_packets += 1
-        if not self._rel.armed:
-            self._rel.arm(e, self._maybe_release, None)
-
-    def wants(self, pkt) -> bool:
-        from ..ht.packet import Command
-        from ..opteron.northbridge import MasterAbort, RouteKind
-
-        if pkt.cmd is not Command.WRITE_POSTED or pkt.mask is not None:
-            return False
-        if pkt.wire_bytes(self.link_in._crc_bytes) != self.wire:
-            return False
-        try:
-            r = self.nb.route(pkt.addr)
-            if not r.writable:
-                return False
-            if r.kind is RouteKind.MMIO_LOCAL_LINK:
-                # Coherent packets pay an extra IO-bridge conversion (and
-                # are rewritten non-coherent) on this branch: per-packet.
-                if pkt.coherent:
-                    return False
-                return r.dst_link == self.out_port
-            if r.kind is RouteKind.DRAM_REMOTE or r.kind is RouteKind.MMIO_REMOTE:
-                return self.nb._fabric_port_for(r.dst_node) == self.out_port
-            return False
-        except MasterAbort:
-            return False
-
-    def offer(self, pkt) -> bool:
-        """Called by the in-direction's delivery point.  True: absorbed.
-        False: the flow demoted itself first and the packet must take the
-        ordinary delivery path."""
-        now = self.sim._now
-        if not self.wants(pkt):
-            self.demote(now)
-            return False
-        if not self.d_out.credits[pkt.vc].try_take():
-            # Pool drained (credit theft / slow next hop): the per-packet
-            # pump would stall here -- demote and let it.
-            self.demote(now)
-            return False
-        self.d_in.credits[pkt.vc].give()        # rx-loop consumption
-        self._last_arrival = now
-        s = now + self.fwd
-        if s < self._last_end:
-            s = self._last_end
-        self._depart(pkt, s)
-        self.nb.counters.inc("forwarded")
-        return True
-
-    def _deliver_one(self, pkt) -> None:
-        """Arrival at the next hop: apply the packet's TX stats (due at
-        its serialization end, applied lazily here) and hand it over."""
-        pend = self._pending
-        if pend and pend[0][0] is pkt:
-            pend.pop(0)[3].fired()
-        _account_tx(self.d_out, pkt, self.ser_out)
-        self.d_out._deliver(pkt, pkt.vc)
-
-    def _maybe_release(self, _=None) -> None:
-        """Serializer-chain end: release the phy exactly when the
-        per-packet pump would go idle, re-arming while the chain keeps
-        extending; a fully drained flow closes itself (on-cable
-        deliveries stand)."""
-        self._rel.fired()
-        if self._last_end > self.sim._now:
-            self._rel.arm(self._last_end, self._maybe_release, None)
-            return
-        if self._phy_held:
-            self.d_out.phy.release()
-            self._phy_held = False
-        if not self._pending:
-            self._close()
-
-    def _demote(self, T: float) -> None:
-        """Reconstruct the out direction's per-packet state and the rx
-        loop's residual busy window."""
-        from ..obs.metrics import flow_counters
-
-        flow_counters(self.sim).forward_demotions += 1
-        sim = self.sim
-        d_out = self.d_out
-        self._rel.cancel()
-        inflight = False
-        for pkt, s, e, ent in self._pending:
-            if e <= T:
-                continue                    # on the cable: entry stands
-            ent.cancel()
-            if s <= T:
-                # Mid-serialization: complete the window with the phy
-                # held; the entry at its end delivers or replays the NAK
-                # dance per the link state *then* (exactly the pump).
-                inflight = True
-                _finish_serialization(d_out, pkt, e, self.ser_out)
-            else:
-                # Not yet popped by the pump: hand it back at the exact
-                # per-packet pop instant.
-                d_out.credits[pkt.vc].give()
-                sim._push(s, _repump, (d_out, pkt))
-        self._pending = []
-        if self._phy_held and not inflight:
-            d_out.phy.release()
-        self._phy_held = False
-        # The rx loop would still be busy with the last absorbed packet's
-        # crossbar latency: steal its parked getter until the window
-        # closes so a chasing foreign delivery queues exactly as it
-        # would per-packet.
-        t_busy = self._last_arrival + self.fwd
-        rx = self.d_in.rx
-        if t_busy > T and rx._getters:
-            sim._push(t_busy, _unpark, (rx, rx._getters.popleft()))

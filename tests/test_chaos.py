@@ -115,8 +115,7 @@ def run_chaos(topo_factory, plan: FaultPlan,
     out.end_ns = cl.sim.now
     out.bytes_received = ep_b.stats.bytes_received
     fl = flow_counters(cl.sim)
-    out.macro_windows = (fl.slot_windows + fl.read_windows
-                         + fl.forward_windows)
+    out.macro_windows = fl.slot_windows + fl.read_windows
     return out
 
 

@@ -15,6 +15,8 @@ train's per-line destination commits into an arithmetic
 on the clean path and across demotions forced at arbitrary instants by
 foreign posted writes, foreign link sends, or BER pulses -- each of
 which aborts the carrying train and therefore the commit span mid-run.
+Remote read chains (:class:`~repro.sim.flows.ReadFlow`) face the same
+oracle with ``adaptive_fidelity`` on or off.
 
 Deliberate divergences (excluded): the per-burst ``bursts`` LinkStats
 counter and the ``train_*`` / flow telemetry counters, which exist only
@@ -223,7 +225,6 @@ def run_read_exchange(fast, nlines=24, kind=None, t_off=None):
     proto = build_single_board_prototype()
     sim = proto.sim
     sim.features.adaptive_fidelity = fast
-    sim.features.flow_fidelity = fast
     proto.boot()
     node0, node1 = proto.node0, proto.node1
     link = proto.coherent_link
@@ -325,6 +326,27 @@ def test_clean_read_chain_exact():
     )
 
 
+def test_default_features_promote_read_flow():
+    from repro.sim import SimFeatures
+
+    proto = build_single_board_prototype()
+    sim = proto.sim
+    assert sim.features == SimFeatures()
+    proto.boot()
+    payload = random.Random(0xBEAD).randbytes(16 * KiB)
+    proto.node1.memory.write(0x40000, payload)
+    got = {}
+
+    def reader():
+        got["data"] = yield from proto.node0.cores[0].load(
+            M256 + 0x40000, len(payload))
+
+    sim.run_until_event(sim.process(reader()))
+    fl = flow_counters(sim)
+    assert got["data"] == payload
+    assert (fl.read_windows, fl.read_reads, fl.read_demotions) == (1, 256, 0)
+
+
 @pytest.mark.parametrize("seed", [5, 23, 91])
 def test_read_demotion_fuzz_oracle(seed):
     rng = random.Random(seed)
@@ -350,179 +372,6 @@ def test_read_demotion_fuzz_oracle_deep(seed):
         fast = run_read_exchange(fast=True, kind=kind, t_off=t_off)
         try:
             assert_read_equivalent(slow, fast)
-        except AssertionError as exc:  # pragma: no cover - diagnostics
-            raise AssertionError(f"kind={kind} t_off={t_off}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# ForwardFlow: multi-hop forwarding (3-supernode chain, rank 0 -> rank 2
-# through rank 1's northbridge)
-# ---------------------------------------------------------------------------
-
-def run_forward_exchange(fast, nmsgs=2, kind=None, t_off=None,
-                         msg_bytes=3584):
-    """Rank 0 streams eager messages to rank 2; every slot write is
-    forwarded by rank 1.  Disturbances target the hop: a foreign send on
-    the outbound link, a runt packet chasing the absorbed run on the
-    inbound link, a BER pulse, or a credit theft."""
-    sys_ = TCClusterSystem(num_supernodes=3, msg_cfg=MsgConfig(**_CFG))
-    sys_.sim.features.adaptive_fidelity = fast
-    sys_.sim.features.flow_fidelity = fast
-    sys_.boot()
-    cl = sys_.cluster
-    sim = sys_.sim
-    tx, rx = sys_.connect(0, 2)
-    chips = [cl.ranks[i].chip for i in range(3)]
-
-    def link_between(ca, cb):
-        for binding in ca.ports.values():
-            other = binding.link.attached["B" if binding.side == "A" else "A"]
-            if other is cb:
-                return binding.link, binding.side
-        raise AssertionError("no link")
-
-    l01, side0 = link_between(chips[0], chips[1])
-    l12, side1 = link_between(chips[1], chips[2])
-
-    rng = random.Random(0xF02D)
-    payloads = [rng.randbytes(msg_bytes) for _ in range(nmsgs)]
-    got = []
-    recv_times = []
-
-    def sender():
-        for m in payloads:
-            yield from tx.send(m)
-            yield 4000.0
-        yield from tx.flush()
-
-    def receiver():
-        for _ in payloads:
-            got.append((yield from rx.recv()))
-            recv_times.append(sim.now)
-
-    def disturb():
-        from repro.ht.packet import make_posted_write
-
-        if kind == "send_out":
-            # Hop-originated traffic on the outbound link demotes the flow
-            # at send time.
-            pkt = make_posted_write(cl.ranks[2].base + (900 << 10),
-                                    b"\x5a" * 64,
-                                    unitid=chips[1].nb.nodeid, coherent=False)
-            if not l12.try_send(side1, pkt):
-                l12.send(side1, pkt)
-        elif kind == "send_in":
-            # A runt packet chasing the absorbed run: wants() rejects it
-            # at the delivery point (wire size mismatch) and demotes.
-            pkt = make_posted_write(cl.ranks[2].base + (900 << 10),
-                                    b"\xa5" * 8,
-                                    unitid=chips[0].nb.nodeid, coherent=False)
-            if not l01.try_send(side0, pkt):
-                l01.send(side0, pkt)
-        elif kind == "ber":
-            l12.ber = 1e-6
-            l12.ber = 0.0
-        elif kind == "stall":
-            l12.demote_macros()
-            stolen = []
-            for d in l12._dirs.values():
-                for pool in d.credits.values():
-                    n = 0
-                    while pool.try_take():
-                        n += 1
-                    if n:
-                        stolen.append((pool, n))
-
-            def _restore():
-                for pool, n in stolen:
-                    pool.give(n)
-
-            sim.schedule(200.0, _restore)
-
-    if kind is not None:
-        sim.schedule(t_off, disturb)
-    e0 = sim.event_count
-    ps = [sim.process(sender()), sim.process(receiver())]
-    sim.run_until_event(sim.all_of(ps))
-    sim.run()
-
-    stats = {}
-    for name, link in (("l01", l01), ("l12", l12)):
-        for s in ("A", "B"):
-            d = link.stats(s).as_dict(sim.now)
-            d.pop("bursts", None)
-            stats[f"{name}.{s}"] = d
-    dmc = chips[2].memctrl
-    fl = flow_counters(sim)
-    return dict(
-        t_end=sim.now,
-        recv_times=recv_times,
-        payload_ok=got == payloads,
-        stats=stats,
-        counters={
-            f"nb{i}": {k: v for k, v in chips[i].nb.counters.as_dict().items()
-                       if not k.startswith("train_")}
-            for i in range(3)
-        },
-        dest_mc=(dmc.reads, dmc.writes, dmc.bytes_read, dmc.bytes_written),
-        dest_mem=dmc.memory.read(0, 1 << 20),
-        events=sim.event_count - e0,
-        forward_windows=fl.forward_windows,
-        forward_packets=fl.forward_packets,
-        forward_demotions=fl.forward_demotions,
-    )
-
-
-_FWD_COMPARED = ("t_end", "recv_times", "payload_ok", "stats", "counters",
-                 "dest_mc", "dest_mem")
-
-
-def assert_forward_equivalent(slow, fast):
-    assert slow["payload_ok"] and fast["payload_ok"]
-    for key in _FWD_COMPARED:
-        assert slow[key] == fast[key], (
-            f"{key} diverged:\n  slow: {str(slow[key])[:400]}"
-            f"\n  fast: {str(fast[key])[:400]}"
-        )
-
-
-def test_clean_forward_exact():
-    slow = run_forward_exchange(fast=False)
-    fast = run_forward_exchange(fast=True)
-    assert_forward_equivalent(slow, fast)
-    assert fast["forward_windows"] >= 1, "forward flow never engaged"
-    assert fast["forward_packets"] >= 64, "hop absorbed too few packets"
-    assert slow["forward_packets"] == 0
-    assert fast["events"] < slow["events"], (
-        f"forward flow saved nothing: {slow['events']} -> {fast['events']}"
-    )
-
-
-@pytest.mark.parametrize("seed", [7, 41])
-def test_forward_demotion_fuzz_oracle(seed):
-    rng = random.Random(seed)
-    for _ in range(3):
-        kind = rng.choice(("send_out", "send_in", "ber", "stall"))
-        t_off = round(rng.uniform(1.0, 6500.0), 2)
-        slow = run_forward_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_forward_exchange(fast=True, kind=kind, t_off=t_off)
-        try:
-            assert_forward_equivalent(slow, fast)
-        except AssertionError as exc:  # pragma: no cover - diagnostics
-            raise AssertionError(f"kind={kind} t_off={t_off}: {exc}") from exc
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", list(range(4)))
-def test_forward_demotion_fuzz_oracle_deep(seed):
-    rng = random.Random(seed + 1300)
-    for _ in range(8):
-        kind = rng.choice(("send_out", "send_in", "ber", "stall"))
-        t_off = round(rng.uniform(1.0, 6500.0), 2)
-        slow = run_forward_exchange(fast=False, kind=kind, t_off=t_off)
-        fast = run_forward_exchange(fast=True, kind=kind, t_off=t_off)
-        try:
-            assert_forward_equivalent(slow, fast)
         except AssertionError as exc:  # pragma: no cover - diagnostics
             raise AssertionError(f"kind={kind} t_off={t_off}: {exc}") from exc
 

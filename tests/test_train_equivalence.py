@@ -20,9 +20,11 @@ Known, deliberate divergences (excluded from comparison): the per-burst
 """
 
 import random
+from unittest import mock
 
 import pytest
 
+from repro.sim.flows import CommitSpan
 from repro.util.units import CACHELINE
 
 
@@ -58,14 +60,26 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
     dest_chip = link.attached["B" if side == "A" else "A"]
     data = bytes((i * 37 + 5) % 256 for i in range(K * CACHELINE + tail))
 
+    # Destination commits as (instant, offset, bytes): real _commit_write
+    # entries, plus the lines a CommitSpan makes real when it flushes,
+    # each at its exact per-packet commit instant.
     commits = []
-    orig = dest_chip.memctrl._commit_write
+    dest_mc = dest_chip.memctrl
+    orig = dest_mc._commit_write
 
     def spy(offset, d, mask, done):
         commits.append((sim.now, offset, len(d)))
         return orig(offset, d, mask, done)
 
-    dest_chip.memctrl._commit_write = spy
+    dest_mc._commit_write = spy
+    orig_flush = CommitSpan.flush_until
+
+    def span_spy(span, now):
+        f = span._flushed
+        orig_flush(span, now)
+        if span.mc is dest_mc:
+            commits.extend((span._c[i], span.offs[i], span.line)
+                           for i in range(f, span._flushed))
 
     done = {}
     handle = [None]
@@ -111,8 +125,9 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
 
     if kind is not None:
         sim.schedule(t_off, disturb)
-    sim.run_until_event(handle[0])
-    sim.run()
+    with mock.patch.object(CommitSpan, "flush_until", span_spy):
+        sim.run_until_event(handle[0])
+        sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
     for s in stats:
@@ -125,7 +140,7 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
     return dict(
         t_end=sim.now,
         done=done,
-        commits=commits,
+        commits=sorted(commits, key=lambda c: c[0]),
         stats=stats,
         counters=counters,
         dest_counters=dest_chip.nb.counters.as_dict(),
@@ -194,6 +209,76 @@ def test_clean_bulk_store_exact_large(K):
     fast = run_train_mode(K, fast=True)
     assert_equivalent(slow, fast)
     assert fast["events"] < slow["events"] * 0.65
+
+
+# ---------------------------------------------------------------------------
+# Commit spans: the default destination path, settled at every run exit
+# ---------------------------------------------------------------------------
+
+def _two_board_store(fast=None):
+    """A booted two-board prototype plus a raw window from rank 0 into
+    rank 1; ``fast=None`` keeps the default :class:`SimFeatures`."""
+    from repro.bench.microbench import _RawWindow
+    from repro.core import TCClusterSystem
+
+    system = TCClusterSystem.two_board_prototype()
+    if fast is not None:
+        system.sim.features.adaptive_fidelity = fast
+    system.boot()
+    cl = system.cluster
+    a, b = cl.rank_of(0, 1), cl.rank_of(1, 1)
+    win = _RawWindow(cl, a, b)
+    dest = cl.ranks[b]
+    return cl.sim, win, dest.chip.memctrl, win.tx_base - dest.base
+
+
+def run_store_probe(fast, stops=(5_000.0, 15_000.0)):
+    """Stop a 64 KiB bulk store with ``run(until=)`` at each of ``stops``
+    ns after it starts; returns the destination write count and DRAM
+    image seen at each stop."""
+    sim, win, dest_mc, off = _two_board_store(fast)
+    data = bytes((i * 37 + 5) % 256 for i in range(64 * 1024))
+    sim.process(win.proc.store(win.tx_base, data))
+    t0 = sim.now
+    probes = []
+    for dt in stops:
+        sim.run(until=t0 + dt)
+        probes.append((dest_mc.writes, dest_mc.memory.read(off, len(data))))
+    return probes
+
+
+def test_run_until_mid_train_settles_commit_spans():
+    # The run returns while the commit span still holds lines past their
+    # commit instants: the exit settle must make them real, so a caller
+    # inspecting DRAM sees exactly the per-packet state.
+    slow = run_store_probe(False)
+    fast = run_store_probe(True)
+    assert 0 < slow[0][0] < slow[1][0] < 1024, "probes missed the train"
+    assert slow == fast
+
+
+def test_default_features_commit_through_span():
+    from repro.sim import SimFeatures
+
+    sim, win, dest_mc, off = _two_board_store()
+    assert sim.features == SimFeatures()
+    per_line = []
+    orig = dest_mc._commit_write
+
+    def spy(*args):
+        per_line.append(args[0])
+        return orig(*args)
+
+    dest_mc._commit_write = spy
+    data = bytes(range(256)) * 256
+    w0 = dest_mc.writes
+    sim.process(win.proc.store(win.tx_base, data))
+    sim.run()
+    assert win.proc.core.chip.nb.counters.get("train_windows") == 1
+    assert dest_mc.writes - w0 == 1024
+    assert per_line == [], "train commits left the commit span"
+    assert not sim._span_hosts, "commit span never detached"
+    assert dest_mc.memory.read(off, len(data)) == data
 
 
 # ---------------------------------------------------------------------------
