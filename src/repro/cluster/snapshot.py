@@ -43,6 +43,7 @@ to pool workers (:func:`seed_image_cache`).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
+from dataclasses import astuple, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..kernel import Kernel
@@ -51,7 +52,7 @@ from ..msglib import MsgConfig
 from ..obs.metrics import (boot_image_counters, fault_counters,
                            flow_counters)
 from ..opteron.chip import InterruptRecord
-from ..sim import Simulator
+from ..sim import SimFeatures, Simulator
 from ..util.calibration import TimingModel, DEFAULT_TIMING
 from ..util.units import MiB
 from .system import TCCluster
@@ -73,15 +74,17 @@ class SnapshotError(RuntimeError):
     """Capture precondition violated or image/cluster mismatch."""
 
 
-def _features_tuple(features) -> Tuple[bool, bool, bool, bool]:
-    return (features.poll_parking, features.burst_serialization,
-            features.adaptive_fidelity, features.flow_fidelity)
+def _assign_fields(obj, values: tuple) -> None:
+    """Inverse of ``astuple`` for a flat dataclass, in place: holders of
+    ``obj`` (a pump's cached ``LinkStats``) keep seeing the live object."""
+    for f, v in zip(fields(obj), values, strict=True):
+        setattr(obj, f.name, v)
 
 
 def boot_signature(topology, nodes_per_supernode: int, memory_bytes: int,
                    timing: TimingModel, msg_cfg: MsgConfig, link_ber: float,
                    skew_tolerance_ns: float,
-                   features: Tuple[bool, bool, bool, bool]) -> tuple:
+                   features: Tuple[bool, ...]) -> tuple:
     """Hashable identity of one bootable configuration.
 
     Everything that shapes the post-boot state is in the key; changing
@@ -172,7 +175,6 @@ def _capture_link(cluster, link) -> dict:
     fsm = _fsm_of(cluster, link)
     sides = {}
     for side, d in link._dirs.items():
-        st = d.stats
         for vc, q in d.txq.items():
             if q._items:
                 raise SnapshotError(
@@ -180,9 +182,7 @@ def _capture_link(cluster, link) -> dict:
         if len(d.rx):
             raise SnapshotError(f"{link.name}.{side}: rx not drained")
         sides[side] = {
-            "stats": (st.packets, st.payload_bytes, st.wire_bytes,
-                      st.retry_wire_bytes, st.retries, st.drops, st.busy_ns,
-                      st.credit_stall_ns, st.bursts, st.naks),
+            "stats": astuple(d.stats),
             "consecutive_drops": d._consecutive_drops,
         }
     return {
@@ -249,7 +249,7 @@ def capture_image(cluster: TCCluster) -> BootImage:
             cluster.topology, len(cluster.boards[0].chips),
             cluster.ranks[0].chip.memory.size, cluster.timing,
             cluster.msg_cfg, tcc0._ber if tcc0 is not None else 0.0,
-            skew if skew else 100.0, _features_tuple(sim.features),
+            skew if skew else 100.0, astuple(sim.features),
         ),
         topology=cluster.topology,
         nodes_per_supernode=len(cluster.boards[0].chips),
@@ -260,7 +260,7 @@ def capture_image(cluster: TCCluster) -> BootImage:
         amap=cluster.amap,
         link_ber=tcc0._ber if tcc0 is not None else 0.0,
         skew_tolerance_ns=skew if skew else 100.0,
-        features=_features_tuple(sim.features),
+        features=astuple(sim.features),
         clock=(sim._now, sim._seq, sim._event_count, sim._push_count),
         chips=[_capture_chip(r.chip) for r in cluster.ranks],
         links=[_capture_link(cluster, l) for l in cluster._all_links()],
@@ -345,10 +345,7 @@ def _restore_link(cluster, link, cap: dict) -> None:
         link.activate(cap["link_type"])
     for side, scap in cap["sides"].items():
         d = link._dirs[side]
-        st = d.stats
-        (st.packets, st.payload_bytes, st.wire_bytes, st.retry_wire_bytes,
-         st.retries, st.drops, st.busy_ns, st.credit_stall_ns, st.bursts,
-         st.naks) = scap["stats"]
+        _assign_fields(d.stats, scap["stats"])
         d._consecutive_drops = scap["consecutive_drops"]
     fsm = _fsm_of(cluster, link)
     for side, pcap in cap["fsm"]["personas"].items():
@@ -370,9 +367,7 @@ def restore_image(image: BootImage,
     deterministic, gated by the wallclock baseline).
     """
     sim = sim or Simulator()
-    (sim.features.poll_parking, sim.features.burst_serialization,
-     sim.features.adaptive_fidelity,
-     sim.features.flow_fidelity) = image.features
+    _assign_fields(sim.features, image.features)
 
     cluster = TCCluster(
         image.topology,
@@ -478,7 +473,7 @@ def image_for(topology, *, nodes_per_supernode: int = 1,
               timing: TimingModel = DEFAULT_TIMING,
               msg_cfg: Optional[MsgConfig] = None,
               link_ber: float = 0.0, skew_tolerance_ns: float = 100.0,
-              features: Optional[Tuple[bool, bool, bool, bool]] = None) \
+              features: Optional[Tuple[bool, ...]] = None) \
         -> BootImage:
     """The cached boot image of one signature (built on first use).
 
@@ -487,7 +482,7 @@ def image_for(topology, *, nodes_per_supernode: int = 1,
     exactly once per sweep, not once per point.
     """
     if features is None:
-        features = _features_tuple(Simulator().features)
+        features = astuple(SimFeatures())
     cfg = msg_cfg or MsgConfig()
     # Construction may auto-grow nodes_per_supernode to fit the port
     # plan; key on the grown value so pre/post-growth callers share.
@@ -501,8 +496,7 @@ def image_for(topology, *, nodes_per_supernode: int = 1,
         boot_image_counters().cache_hits += 1
         return img
     sim = Simulator()
-    (sim.features.poll_parking, sim.features.burst_serialization,
-     sim.features.adaptive_fidelity, sim.features.flow_fidelity) = features
+    _assign_fields(sim.features, features)
     cluster = TCCluster(
         topology, memory_bytes=memory_bytes,
         nodes_per_supernode=nodes_per_supernode, timing=timing,

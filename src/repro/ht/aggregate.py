@@ -18,10 +18,11 @@ unchanged (a single packet still crosses one physical link).
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 from typing import Dict, List, Optional
 
 from ..sim import Event, Simulator, Store
-from .link import Link, LinkSide, LinkState
+from .link import Link, LinkSide, LinkState, LinkStats
 from .packet import Packet
 
 __all__ = ["AggregatedLink"]
@@ -116,23 +117,11 @@ class AggregatedLink:
     def pending_rx(self, side: str) -> int:
         return len(self._reseq[side].out)
 
-    def stats(self, side: str):
+    def stats(self, side: str) -> LinkStats:
         """Aggregate transmit stats (summed over members, every field)."""
-        from .link import LinkStats
-
-        total = LinkStats()
-        for m in self.members:
-            s = m.stats(side)
-            total.packets += s.packets
-            total.payload_bytes += s.payload_bytes
-            total.wire_bytes += s.wire_bytes
-            total.retry_wire_bytes += s.retry_wire_bytes
-            total.retries += s.retries
-            total.drops += s.drops
-            total.busy_ns += s.busy_ns
-            total.credit_stall_ns += s.credit_stall_ns
-            total.bursts += s.bursts
-        return total
+        members = [m.stats(side) for m in self.members]
+        return LinkStats(**{f.name: sum(getattr(s, f.name) for s in members)
+                            for f in fields(LinkStats)})
 
     # -- internals -----------------------------------------------------------
     def _pump(self, member: Link, rx_side: str):

@@ -24,9 +24,8 @@ flow-control credit to the transmitter.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..obs.metrics import fault_counters
 from ..sim import CreditPool, Event, Gate, Resource, Simulator, Store, Tracer, NULL_TRACER
@@ -94,9 +93,6 @@ class LinkStats:
     #: Time packets sat at the head of a TX queue waiting for a
     #: flow-control credit (receiver back-pressure).
     credit_stall_ns: float = 0.0
-    #: Multi-packet serialization windows taken by the burst fast path
-    #: (wall-clock instrumentation; no timing meaning).
-    bursts: int = 0
     #: Packets handed back to the transmit queue because the link went
     #: down before/while they were serializing (link-level NAK; they are
     #: retransmitted after retrain, never lost).
@@ -115,7 +111,6 @@ class LinkStats:
             "drops": self.drops,
             "busy_ns": self.busy_ns,
             "credit_stall_ns": self.credit_stall_ns,
-            "bursts": self.bursts,
             "naks": self.naks,
             "utilization": self.utilization(elapsed_ns),
         }
@@ -160,35 +155,11 @@ class _Direction:
         #: flow, see repro.sim.flows.MacroWindow); foreign sends demote it
         #: first (Link.demote_macros).
         self._macro = None
-        #: Burst-window deliveries pushed into the calendar but not yet
-        #: past their serialization end: (cancel_seq, ser_end, pkt, vc).
-        #: Pruned lazily; consulted by bring_down() to NAK packets that
-        #: were still inside the serializer when the link died.
-        self._burst_fly: Deque[Tuple[int, float, Packet, VirtualChannel]] = deque()
         #: Retry-exhaustion drops since the last successful transmit
         #: (drives the optional fail-down to a narrower width).
         self._consecutive_drops = 0
         for vc in VirtualChannel:
             sim.process(self._pump(vc), name=f"{link.name}.{tx_side}.pump.{vc.name}")
-
-    #: Upper bound on packets serialized per burst window (bounds the work
-    #: done by one calendar callback; txq depth usually bounds it first).
-    MAX_BURST = 64
-
-    def _can_burst(self, vc: VirtualChannel) -> bool:
-        """Bursting is only legal when nothing could interleave at the phy
-        during the window: no bit errors (retry falls back to per-packet),
-        no other VC with traffic queued or waiting for the serializer, and
-        tracing off (burst tx records would append out of time order)."""
-        link = self.link
-        if not link.sim.features.burst_serialization or link._ber > 0:
-            return False
-        if link.tracer.enabled or self.phy._waiters:
-            return False
-        for other, q in self.txq.items():
-            if other is not vc and q._items:
-                return False
-        return True
 
     def _pump(self, vc: VirtualChannel):
         link = self.link
@@ -197,6 +168,7 @@ class _Direction:
         credits = self.credits[vc]
         phy = self.phy
         stats = self.stats
+        deliver = self._deliver
         while True:
             # Fast paths: when the queue has a packet, a credit is free and
             # the serializer is idle, take all three inline -- no Event
@@ -224,28 +196,24 @@ class _Direction:
                 yield link.up_gate.wait()
                 continue
             dropped = False
+            wire = pkt.wire_bytes(link._crc_bytes)
+            ser = wire / link._rate
             try:
-                if txq._items and self._can_burst(vc):
-                    yield from self._transmit_burst(pkt, vc)
-                    continue  # phy released inside; stats/delivery done
-                ser = link.serialization_ns(pkt)
                 attempts = 1
-                if link.ber > 0:
+                if link._ber > 0:
                     # Retry mode: the per-packet CRC the ACK/NAK protocol
                     # verifies.  This is the only data-plane consumer of
                     # the (lazily computed, cached) wire CRC; timing and
                     # the retry draw below do not depend on its value.
                     _ = pkt.crc32
-                while link.ber > 0 and (
-                        link._rng.random() < link.ber * link._ber_derate):
+                while link._ber > 0 and (
+                        link._rng.random() < link._ber * link._ber_derate):
                     # HT3 retry: CRC failure detected, NAK + retransmission
                     # costs another serialization window plus turnaround.
                     yield ser + link.retry_turnaround_ns
                     stats.retries += 1
                     stats.busy_ns += ser + link.retry_turnaround_ns
-                    stats.retry_wire_bytes += pkt.wire_bytes(
-                        link.timing.ht_crc_bytes
-                    )
+                    stats.retry_wire_bytes += wire
                     attempts += 1
                     if attempts > link.max_retries:
                         # Give up on this packet but keep the VC alive: a
@@ -282,105 +250,11 @@ class _Direction:
             self._consecutive_drops = 0
             stats.packets += 1
             stats.payload_bytes += len(pkt.data)
-            stats.wire_bytes += pkt.wire_bytes(link._crc_bytes)
+            stats.wire_bytes += wire
             if link.tracer.enabled:
                 link.tracer.emit(sim.now, link.name, "tx",
                                  (self.tx_side, vc.name, pkt.addr))
-            sim.schedule(link.propagation_ns, self._deliver, pkt, vc)
-
-    def _transmit_burst(self, pkt: Packet, vc: VirtualChannel):
-        """Serialize ``pkt`` plus every same-VC packet that is already
-        queued with a credit instantly available as ONE occupancy window.
-
-        Per-packet wire times are what the serializer would produce
-        back-to-back anyway (packet ``i`` ends at ``t0 + sum(ser_0..i)``),
-        so delivery timestamps are computed arithmetically and pushed up
-        front; only a single sleep covers the whole window.  Called with
-        the phy held and a credit taken for ``pkt``; the caller's
-        ``finally`` releases the phy when the window ends.
-        """
-        link = self.link
-        sim = link.sim
-        txq = self.txq[vc]
-        credits = self.credits[vc]
-        burst = [pkt]
-        t0 = sim.now
-        # The per-packet pump would pop packet i only once packets 0..i-1
-        # finished serializing; popping early must not free the txq slot
-        # sooner, or a back-pressured sender unblocks ahead of time and
-        # virtual timing diverges.  get_deferred holds each slot until
-        # the time the per-packet pop would have happened.
-        pop_at = t0
-        while len(burst) < self.MAX_BURST and txq._items and credits.try_take():
-            pop_at += link.serialization_ns(burst[-1])
-            nxt = txq.get_deferred(pop_at)
-            if nxt is None:  # pragma: no cover - len(txq) just said otherwise
-                credits.give()
-                break
-            burst.append(nxt)
-        cum = 0.0
-        crc = link._crc_bytes
-        rate = link._rate
-        prop = link.propagation_ns
-        stats = self.stats
-        deliver = self._deliver
-        fly = self._burst_fly
-        # Prune windows that fully serialized (cheap: ser_end values are
-        # appended in ascending time order, the phy serializes windows
-        # back to back).
-        while fly and fly[0][1] <= t0:
-            fly.popleft()
-        for p in burst:
-            cum += p.wire_bytes(crc) / rate
-            stats.packets += 1
-            stats.payload_bytes += len(p.data)
-            stats.wire_bytes += p.wire_bytes(crc)
-            seq = sim._push_cancellable(t0 + cum + prop, deliver, (p, vc))
-            fly.append((seq, t0 + cum, p, vc))
-        stats.bursts += 1
-        yield cum
-        stats.busy_ns += cum
-
-    def _unwind_bursts(self) -> None:
-        """NAK every burst-window packet still inside the serializer.
-
-        Called by :meth:`Link.bring_down`.  A delivery whose serialization
-        window already closed stands -- the packet is on the cable and
-        will arrive after the propagation delay.  Deliveries still being
-        serialized are cancelled (the entry leaves the calendar without
-        advancing the clock), their transmit stats reversed, their
-        credits returned, and the packets put back at the head of their
-        TX queue in original order for retransmission after retrain.
-        Because a cancelled delivery can never have fired, the packet
-        cannot have reached its destination commit point -- so a pooled
-        packet can never be recycled while a NAK still references it.
-        """
-        fly = self._burst_fly
-        if not fly:
-            return
-        link = self.link
-        sim = link.sim
-        now = sim._now
-        requeue = []
-        while fly:
-            seq, ser_end, pkt, vc = fly.popleft()
-            if ser_end <= now:
-                continue
-            sim._cancel(seq)
-            requeue.append((pkt, vc))
-        if not requeue:
-            return
-        stats = self.stats
-        crc = link._crc_bytes
-        fc = fault_counters(sim)
-        for pkt, vc in reversed(requeue):
-            stats.packets -= 1
-            stats.payload_bytes -= len(pkt.data)
-            stats.wire_bytes -= pkt.wire_bytes(crc)
-            stats.naks += 1
-            fc.link_naks += 1
-            self.credits[vc].give()
-            self.txq[vc].unget(pkt)
+            sim._push(sim._now + link.propagation_ns, deliver, (pkt, vc))
 
     def _deliver(self, pkt: Packet, vc: VirtualChannel) -> None:
         link = self.link
@@ -555,16 +429,14 @@ class Link:
     def bring_down(self) -> None:
         """Take the link down (fault injection or the start of retrain).
 
-        Ordering matters: macro windows are demoted first (their
-        speculative future is revoked against pre-fault state), then any
-        burst-serialization window in flight is unwound -- packets whose
-        wire time had not completed are NAK'd back to their TX queues --
-        and only then does the state flip and the up-gate close, parking
-        the pumps until :meth:`activate`.
+        Macro windows are demoted first (their speculative future is
+        revoked against pre-fault state); then the state flips and the
+        up-gate closes.  A pump mid-serialization sees the dead link when
+        its wire time ends and NAKs the packet back to its TX queue
+        (the delivery is only pushed after that check), then parks until
+        :meth:`activate`.
         """
         self.demote_macros()
-        for d in self._dirs.values():
-            d._unwind_bursts()
         self.state = LinkState.DOWN
         self.link_type = None
         self.up_gate.close()

@@ -43,7 +43,6 @@ ulp-close).
 
 Known, documented divergences (DESIGN.md section 8.2):
 
-* ``LinkStats.bursts`` is not incremented (burst mode's counter);
 * POSTED credits are not taken/returned mid-window (net zero; at most
   2 credits of transient difference while a packet is in flight --
   enough headroom that back-pressure never gates differently).  A
@@ -119,8 +118,7 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     """
     chip = core.chip
     sim = core.sim
-    feats = sim.features
-    if not (feats.adaptive_fidelity and feats.burst_serialization):
+    if not sim.features.adaptive_fidelity:
         return None
     if addr % CACHELINE:
         return None
@@ -488,7 +486,7 @@ class BulkTrain(MacroWindow):
         self.abort_time = T
         self.resume_fills = f
 
-        # --- link direction: canonical non-burst state --------------------
+        # --- link direction: canonical per-packet state -------------------
         d = self.dir
         txq = d.txq[VirtualChannel.POSTED]
         ss_end = ss[nser - 1] + self.ser if nser else T

@@ -62,16 +62,13 @@ class SimFeatures:
     the WC trains and flow-level windows still diverge from per-packet
     mode (the strict-xfail fault oracles in
     ``tests/test_train_equivalence.py`` and
-    ``tests/test_flow_equivalence.py``).  Fault-free, the other three
+    ``tests/test_flow_equivalence.py``).  Fault-free, the two macro
     flags change only wall-clock cost.
     """
 
     #: Park idle polling receivers on a memory doorbell instead of
     #: burning one calendar entry per poll iteration.
     poll_parking: bool = True
-    #: Serialize back-to-back same-VC link packets as one bulk occupancy
-    #: event with arithmetically computed delivery times.
-    burst_serialization: bool = True
     #: Every macro path that pays in wall-clock: an uncontended bulk WC
     #: store's whole packet train (fill/dispatch/serialize pipeline) in
     #: closed-form arithmetic, its destination commits as one arithmetic

@@ -33,12 +33,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple] = deque()  # (event, item)
-        # Capacity slots held by items popped *early* via get_deferred
-        # (the link burst fast path): virtual release times, ascending.
-        # Until a slot's time passes it still counts as occupied, so the
-        # early drain is invisible to (blocked or future) putters.
-        self._phantom: Deque[float] = deque()
-        self._phantom_wake_scheduled = False
         # Event names are precomputed: put/get run once per packet per hop
         # and per-call f-strings show up in profiles.
         self._put_name = f"{name}.put"
@@ -47,22 +41,9 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _live_phantoms(self) -> int:
-        """Prune expired deferred-release slots; return those still held."""
-        ph = self._phantom
-        now = self.sim._now
-        while ph and ph[0] <= now:
-            ph.popleft()
-        return len(ph)
-
     @property
     def is_full(self) -> bool:
-        if self.capacity is None:
-            return False
-        n = len(self._items)
-        if self._phantom:
-            n += self._live_phantoms()
-        return n >= self.capacity
+        return self.capacity is not None and len(self._items) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
@@ -72,47 +53,19 @@ class Store:
         """Return an event that fires once ``item`` is accepted."""
         ev = Event(self.sim, name=self._put_name)
         cap = self.capacity
-        if not self._putters and (
-            cap is None
-            or len(self._items)
-            + (self._live_phantoms() if self._phantom else 0)
-            < cap
-        ):
+        if not self._putters and (cap is None or len(self._items) < cap):
             self._items.append(item)
             ev.succeed()
             if self._getters:
                 self._wake_getter()
-        elif self._phantom and not self._putters:
-            # Full only because of deferred-release slots (a burst window
-            # in progress).  The acceptance time is already determined --
-            # the head slot frees at ``_phantom[0]`` -- and the only
-            # getter of a phantom-bearing store is the pump sleeping
-            # through that window, so appending the item *now* changes
-            # neither FIFO order nor occupancy (slot consumed, item
-            # added).  Trigger the put event Timeout-style: its dispatch
-            # entry IS the putter's wake, at the exact virtual time the
-            # per-packet pump would have accepted the item.
-            release = self._phantom.popleft()
-            self._items.append(item)
-            ev._triggered = True
-            ev._ok = True
-            ev._scheduled = True
-            self.sim._schedule_event(ev, release - self.sim._now)
         else:
             self._putters.append((ev, item))
-            if self._phantom:
-                self._schedule_phantom_wake()
         return ev
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False if the store is full."""
         cap = self.capacity
-        if self._putters or (
-            cap is not None
-            and len(self._items)
-            + (self._live_phantoms() if self._phantom else 0)
-            >= cap
-        ):
+        if self._putters or (cap is not None and len(self._items) >= cap):
             return False
         self._items.append(item)
         if self._getters:
@@ -154,57 +107,17 @@ class Store:
         else:
             self._items.append(item)
 
-    def get_deferred(self, release_time: float) -> Any:
-        """Pop the head item now but keep its capacity slot occupied until
-        ``release_time`` (virtual).
-
-        The link burst fast path drains several queued packets in one
-        step; holding each slot until the moment the per-packet pump
-        would have popped that packet keeps the early drain invisible to
-        back-pressured senders (their ``put`` is accepted at the exact
-        same virtual time either way).  Returns ``None`` if empty.
-        """
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        self._phantom.append(release_time)
-        if self._putters:
-            self._schedule_phantom_wake()
-        return item
-
-    def _schedule_phantom_wake(self) -> None:
-        if self._phantom_wake_scheduled or not self._phantom:
-            return
-        self._phantom_wake_scheduled = True
-        delay = self._phantom[0] - self.sim._now
-        self.sim.schedule(delay if delay > 0.0 else 0.0, self._phantom_wake)
-
-    def _phantom_wake(self) -> None:
-        self._phantom_wake_scheduled = False
-        if self._putters:
-            self._admit_putter()
-            if self._putters and self._phantom:
-                self._schedule_phantom_wake()
-
     def unget(self, item: Any) -> None:
         """Return ``item`` to the *head* of the queue (a link-level NAK).
 
-        The inverse of :meth:`get`/:meth:`get_deferred` for a consumer
-        that took an item but could not complete it: the item goes back
-        in front of everything queued behind it, so FIFO order is
-        preserved on retransmit.  If the item still holds a deferred
-        capacity slot (``get_deferred`` with a future release time), the
-        newest such slot is dropped -- the item itself re-occupies the
-        queue, and double-counting the slot would understate capacity
-        forever.  The store may transiently exceed ``capacity`` (the
-        consumer's pop already admitted a blocked putter); that models
-        the HT retry buffer holding the NAK'd packet and only delays
-        future puts.
+        The inverse of :meth:`get` for a consumer that took an item but
+        could not complete it: the item goes back in front of everything
+        queued behind it, so FIFO order is preserved on retransmit.  The
+        store may transiently exceed ``capacity`` (the consumer's pop
+        already admitted a blocked putter); that models the HT retry
+        buffer holding the NAK'd packet and only delays future puts.
         """
         self._items.appendleft(item)
-        ph = self._phantom
-        if ph and ph[-1] > self.sim._now:
-            ph.pop()
 
     def peek(self) -> Any:
         """Look at the head item without removing it (raises if empty)."""

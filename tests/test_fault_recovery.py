@@ -1,5 +1,6 @@
-"""Link-layer recovery mechanics: down/retrain transitions, burst-window
-unwinding, fail-down, and the pooled-packet NAK hazard.
+"""Link-layer recovery mechanics: down/retrain transitions, NAKs of
+packets cut mid-serialization, fail-down, and the pooled-packet NAK
+hazard.
 
 Satellite regression coverage for the fault-injection PR: the chaos
 harness (``test_chaos.py``) exercises recovery end to end; these tests
@@ -73,11 +74,11 @@ def test_bring_down_naks_in_flight_then_retrain_delivers_in_order():
     )
 
 
-def test_bring_down_mid_burst_window_unwinds_and_redelivers():
-    """Packets inside an open burst-serialization window when the link
-    drops are cancelled (their delivery events never fire), NAK'd back to
-    the head of their VC queue, and delivered exactly once after retrain
-    -- with stats and credits consistent throughout."""
+def test_bring_down_mid_serialization_naks_and_redelivers():
+    """A packet still on the wire when the link drops is NAK'd back to
+    the head of its VC queue when its serialization ends (its delivery is
+    never pushed), and every packet is delivered exactly once, in order,
+    after retrain -- with stats and credits consistent throughout."""
     sim = Simulator()
     link, fsm = fsm_link(sim)
     n = 12
@@ -95,30 +96,26 @@ def test_bring_down_mid_burst_window_unwinds_and_redelivers():
 
     sim.process(rx())
     sim.process(tx())
-    # Back-to-back packets open a burst window; cut inside it.  The
-    # serialization of one 48B-ish packet takes ~tens of ns, so 25ns in
-    # lands mid-flight regardless of burst shape.
+    # Back-to-back packets keep the serializer busy; one 48B-ish packet
+    # takes ~tens of ns on the wire, so 25ns in lands mid-serialization.
     sim.schedule(25.0, link.bring_down)
     sim.schedule(400.0, fsm.retrain, "warm")
     sim.run(until=1_000_000.0)
     assert [a for a, _ in got] == [0x2000 + 64 * i for i in range(n)]
     assert all(d == bytes([i] * 32) for i, (_, d) in enumerate(got))
     d = link._dirs[LinkSide.A]
-    # Stale fly entries (windows that fully serialized) are pruned lazily
-    # at the next burst; what must never remain is an entry still "in
-    # flight" -- that would mean an uncancelled delivery or a lost NAK.
-    assert all(ser_end <= sim.now for _, ser_end, _, _ in d._burst_fly)
     assert d.credits[VirtualChannel.POSTED].credits == link.credits_per_vc
-    assert d.stats.packets == n, "unwound packets must not be double-counted"
+    assert d.stats.packets == n, "NAK'd packets must not be double-counted"
     assert fault_counters(sim).link_naks >= 1
 
 
 def test_pooled_packets_survive_nak_without_recycle_hazard():
-    """Satellite (b): a pooled packet NAK'd by ``bring_down`` must NOT
-    have been recycled -- a recycled-and-reused flyweight re-sent from
-    the txq would deliver another packet's payload.  The unwind path
-    cancels the delivery before the consume callback (the only recycler)
-    can run, so the image stays intact."""
+    """A pooled packet NAK'd after ``bring_down`` must NOT have been
+    recycled -- a recycled-and-reused flyweight re-sent from the txq
+    would deliver another packet's payload.  The pump NAKs a packet cut
+    mid-serialization before pushing its delivery, so the consume
+    callback (the only recycler) never sees it and the image stays
+    intact."""
     sim = Simulator()
     link, fsm = fsm_link(sim)
     pool = pool_for(sim)
@@ -145,7 +142,7 @@ def test_pooled_packets_survive_nak_without_recycle_hazard():
     sim.run(until=1_000_000.0)
     assert [(0x3000 + 64 * i, bytes([0x40 + i] * 24)) for i in range(n)] == got
     # Every pooled packet was recycled exactly once -- by the consumer,
-    # never early by the cancelled delivery path.
+    # never early for a NAK'd transmission.
     assert pool.recycled == base_recycled + n
 
 

@@ -18,9 +18,9 @@ which aborts the carrying train and therefore the commit span mid-run.
 Remote read chains (:class:`~repro.sim.flows.ReadFlow`) face the same
 oracle with ``adaptive_fidelity`` on or off.
 
-Deliberate divergences (excluded): the per-burst ``bursts`` LinkStats
-counter and the ``train_*`` / flow telemetry counters, which exist only
-when the fast paths engage.
+Deliberate divergences (excluded): the ``train_*`` / flow telemetry
+counters, which exist only when the fast paths engage.  Every
+``LinkStats`` field is compared.
 """
 
 import random
@@ -108,8 +108,6 @@ def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
     sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
-    for s in stats:
-        stats[s].pop("bursts", None)
     counters = {k: v for k, v in nb.counters.as_dict().items()
                 if not k.startswith("train_")}
     dmc = dest_chip.memctrl
@@ -280,8 +278,6 @@ def run_read_exchange(fast, nlines=24, kind=None, t_off=None):
     sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
-    for s in stats:
-        stats[s].pop("bursts", None)
     mc1 = node1.memctrl
     fl = flow_counters(sim)
     return dict(

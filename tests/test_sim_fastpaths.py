@@ -6,11 +6,12 @@ Three families, matching the hot-path overhaul's risk surface:
   nothing; ``add_callback`` must recover both the *deferred* (triggered,
   never scheduled) and the *late* (already dispatched) cases,
 * the numeric-sleep fast path under interrupts (wake-token staleness),
-* poll parking and burst serialization as virtual-time-invariant
-  transformations (park/doorbell race, burst-vs-per-packet seeded fuzz).
+* poll parking as a virtual-time-invariant transformation (the
+  park/doorbell race), and ``LinkStats`` exact at any instant of a
+  seeded link stream.
 """
 
-import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -201,26 +202,42 @@ def test_parked_receiver_wakes_for_concurrent_send():
 
 
 # ---------------------------------------------------------------------------
-# Burst serialization equivalence (seeded fuzz)
+# LinkStats exact at every instant (seeded stream, mid-stream probes)
 # ---------------------------------------------------------------------------
 
-def _run_stream(burst: bool, seed: int):
-    """Drive a random posted-write stream through a clean link; return
-    (delivery records, LinkStats) for equivalence comparison."""
+#: Per seed: sha256 prefix of ``repr`` of the delivery records
+#: ``(time, addr, payload_len)`` and the last delivery time, recorded from
+#: the per-packet serializer.
+_STREAM_RECORDS = {
+    1: ("3a5f9ef982aa4d4f", 13093.0),
+    7: ("909413b926a8db8c", 13053.0),
+    42: ("b9500babc370ffbc", 11186.75),
+    1234: ("f30a26aff29417b1", 12584.25),
+}
+
+
+def _run_stream(seed: int, probes=()):
+    """Drive a seeded random posted-write stream through a clean link.
+
+    Stops ``run(until=t)`` at each probe instant to snapshot the TX
+    ``LinkStats``.  Returns the delivery records ``(time, addr,
+    payload_len)``, each delivery's ``(wire_bytes, serialization_ns)``,
+    the snapshots ``(packets, wire_bytes, busy_ns)`` and the link."""
     rng = random.Random(seed)
     sizes = [rng.choice((4, 8, 32, 64)) for _ in range(120)]
     gaps = [rng.choice((0.0, 0.0, 0.0, 5.0, 500.0)) for _ in sizes]
 
     sim = Simulator()
-    sim.features.burst_serialization = burst
     link = Link(sim, "l0")
     link.activate("noncoherent")
     deliveries = []
+    wire = []
 
     def rx():
         while len(deliveries) < len(sizes):
             p = yield link.receive(LinkSide.B)
             deliveries.append((sim.now, p.addr, len(p.data)))
+            wire.append((p.wire_bytes(link._crc_bytes), link.serialization_ns(p)))
 
     def tx():
         for i, (n, gap) in enumerate(zip(sizes, gaps)):
@@ -232,24 +249,43 @@ def _run_stream(burst: bool, seed: int):
 
     sim.process(rx())
     sim.process(tx())
+    stats = link.stats(LinkSide.A)
+    snaps = []
+    for t in probes:
+        sim.run(until=t)
+        snaps.append((stats.packets, stats.wire_bytes, stats.busy_ns))
     sim.run()
     assert len(deliveries) == len(sizes)
-    return deliveries, link.stats(LinkSide.A)
+    return deliveries, wire, snaps, link
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42, 1234])
-def test_burst_vs_per_packet_identical(seed):
-    d_burst, s_burst = _run_stream(burst=True, seed=seed)
-    d_plain, s_plain = _run_stream(burst=False, seed=seed)
-    assert d_burst == d_plain, "burst path moved a delivery timestamp"
-    for f in dataclasses.fields(s_burst):
-        if f.name == "bursts":
-            continue
-        assert getattr(s_burst, f.name) == getattr(s_plain, f.name), (
-            f"LinkStats.{f.name} differs between burst and per-packet"
-        )
-    assert s_burst.bursts > 0, "fuzz stream never exercised the burst path"
-    assert s_plain.bursts == 0
+@pytest.mark.parametrize("seed", sorted(_STREAM_RECORDS))
+def test_link_stats_exact_mid_stream(seed):
+    """At any instant, ``packets``, ``wire_bytes`` and ``busy_ns`` count
+    exactly the packets whose serialization has ended by then (delivery
+    time minus propagation), including instants inside back-to-back
+    runs, where the serializer never idles between packets."""
+    deliveries, wire, _, link = _run_stream(seed)
+    digest, t_last = _STREAM_RECORDS[seed]
+    assert hashlib.sha256(repr(deliveries).encode()).hexdigest()[:16] == digest
+    assert deliveries[-1][0] == t_last
+    ser_end = [t - link.propagation_ns for t, _, _ in deliveries]
+    # Packets that started serializing the instant their predecessor
+    # finished: probe mid-wire and exactly at the end of the wire time.
+    b2b = [i for i in range(1, len(ser_end))
+           if ser_end[i] - ser_end[i - 1] == wire[i][1]]
+    assert len(b2b) >= 20, "stream has too few back-to-back packets"
+    picks = b2b[::len(b2b) // 10]
+    probes = sorted({t for i in picks
+                     for t in (ser_end[i] - wire[i][1] / 2, ser_end[i])})
+
+    probed, _, snaps, _ = _run_stream(seed, probes)
+    assert probed == deliveries, "stopping run(until=) moved a delivery"
+    for t, (packets, wire_bytes, busy_ns) in zip(probes, snaps):
+        done = [w for end, w in zip(ser_end, wire) if end <= t]
+        assert packets == len(done), f"packets at t={t}"
+        assert wire_bytes == sum(wb for wb, _ in done), f"wire_bytes at t={t}"
+        assert busy_ns == sum(ser for _, ser in done), f"busy_ns at t={t}"
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ both on the clean path (no demotion) and across a demotion triggered at
 an arbitrary instant by a foreign posted write, a foreign link send, or
 an interrupt.  The seeded fuzz below drives exactly that comparison.
 
-Known, deliberate divergences (excluded from comparison): the per-burst
-``bursts`` LinkStats counter and the train's own ``train_*`` /
-``train.*`` telemetry (absent in per-packet mode by construction).
+Known, deliberate divergences (excluded from comparison): the train's
+own ``train_*`` / ``train.*`` telemetry (absent in per-packet mode by
+construction).
 """
 
 import random
@@ -130,8 +130,6 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
         sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
-    for s in stats:
-        stats[s].pop("bursts", None)
     snap = nb._m.snapshot(sim.now)
     snap["counters"] = {k: v for k, v in snap["counters"].items()
                         if not k.startswith("train.")}
@@ -336,8 +334,7 @@ def test_drain_tail_demotion_exact():
 def run_fault_store(fast, kind, at_ns):
     """A 64 KiB store + sfence from rank 0 into rank 1 on ``chain(2)``;
     ``kind`` fires on the link ``at_ns`` after boot and lasts 20 us.
-    Returns the end time, the destination bytes and the link metrics
-    (minus the burst-mode ``bursts`` counter)."""
+    Returns the end time, the destination bytes and the link metrics."""
     from repro.bench.microbench import _RawWindow
     from repro.core import TCClusterSystem
     from repro.faults import FaultInjector, FaultPlan
@@ -362,8 +359,6 @@ def run_fault_store(fast, kind, at_ns):
     sim.process(job())
     sim.run()
     metrics = link.metrics()
-    for m in metrics.values():
-        m.pop("bursts")
     dest = cl.ranks[1]
     return dict(
         t_end=sim.now,
