@@ -259,16 +259,13 @@ class _Direction:
     def _deliver(self, pkt: Packet, vc: VirtualChannel) -> None:
         link = self.link
         if link.tracer.enabled:
-            # Keep the deferred wake so the rx trace record lands before
-            # any receiver reaction at the same timestamp.
-            self.rx.try_put(pkt)
+            # Emitted first, so it lands before any receiver reaction.
             link.tracer.emit(link.sim._now, link.name, "rx",
                              (self.rx_side, vc.name, pkt.addr))
-        else:
-            # _deliver is a bare calendar callback and this is its final
-            # action: wake a parked receiver synchronously, saving the
-            # zero-delay dispatch entry per packet.
-            self.rx.put_inline(pkt)
+        # _deliver is a bare calendar callback and this is its final
+        # action: wake a parked receiver synchronously, saving the
+        # zero-delay dispatch entry per packet.
+        self.rx.put_inline(pkt)
 
 
 class Link:

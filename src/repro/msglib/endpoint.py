@@ -667,16 +667,16 @@ class Endpoint:
 
         ``deadline`` (absolute sim time) bounds the spin with a
         :class:`TransportError`; a deadline-guarded poll never parks, so
-        its timing stays on the plain poll grid regardless of
-        ``SimFeatures.poll_parking``.
+        it busy-polls on the plain poll grid, as does a ring that
+        :meth:`_parking_doorbell` cannot watch.
 
-        With ``SimFeatures.poll_parking`` the *idle* part of the spin is
-        event-driven: instead of burning one calendar entry per
-        ``poll_iteration_ns``, the process parks on a memory doorbell rung
-        by the controller when a write commits into the rx ring, then
-        re-joins the exact poll grid the busy loop would have followed
-        (see DESIGN.md, "Performance model equivalence").  Sampling times
-        and ``stats.polls`` are unchanged; idle-spin events drop to zero.
+        Otherwise the *idle* part of the spin is event-driven: instead of
+        burning one calendar entry per ``poll_iteration_ns``, the process
+        parks on a memory doorbell rung by the controller when a write
+        commits into the rx ring, then re-joins the exact poll grid the
+        busy loop would have followed (see DESIGN.md, "Performance model
+        equivalence").  Sampling times and ``stats.polls`` are unchanged;
+        idle-spin events drop to zero.
         """
         addr = self._slot_rx_addr(want_seq)
         t = self.proc.core.chip.timing
@@ -765,8 +765,6 @@ class Endpoint:
         this chip's memory controller and do polls bypass the caches.  The
         verdict is cached per chip and re-evaluated after ``bind_to``.
         """
-        if not self.sim.features.poll_parking:
-            return None
         chip = self.proc.core.chip
         if self._park_chip is chip:
             return self._park_db

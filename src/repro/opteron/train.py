@@ -23,9 +23,9 @@ then runs the whole train at *aggregate fidelity*:
   controller, which folds each line's arrival into the controller's FCFS
   port arithmetic at its exact per-packet instant, so destination memory
   timing, receiver polling and doorbells are bit-identical to per-packet
-  mode (this is what lets many trains run concurrently in a mesh).  With
-  a tracer on the destination controller, a chain of one calendar
-  callback per line performs the real ``memctrl.write_posted`` instead.
+  mode (this is what lets many trains run concurrently in a mesh).  The
+  span is the train's only path to destination DRAM; a traced
+  destination controller therefore keeps the store per-packet.
 
 **Demotion.**  A train is a :class:`~repro.sim.flows.MacroWindow`: the
 schedule is only valid while it owns its northbridge and link direction.
@@ -35,7 +35,8 @@ rate/BER/state change, an interrupt thrown into the storing core --
 calls :meth:`~repro.sim.flows.MacroWindow.demote`, which reconstructs the
 exact per-packet state at the demotion instant ``T`` (queue contents,
 blocked putters, a mid-flight dispatcher shim, a mid-serialization phy
-hold) and falls back to per-packet simulation for the remainder.  The
+hold), truncates the commit span to the lines already on the wire and
+falls back to per-packet simulation for the remainder.  The
 reconstruction is exact: every timestamp in the recurrence is a dyadic
 rational under the default timing model, so float arithmetic reproduces
 the per-packet event times bit-for-bit (non-dyadic timing would only be
@@ -111,10 +112,12 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     per-packet path before anything is committed.
 
     Eligibility = (a) the store is an aligned bulk of full lines, (b) the
-    whole source range routes out one local TCCluster link, (c) the whole
-    pipeline for that link direction is quiescent (queues empty, pumps
-    parked, credits full, phy idle), and (d) every line lands in the
-    destination's ready local DRAM.  Anything else: per-packet.
+    whole source range routes out one local TCCluster link, (c) that link
+    direction passes :meth:`~repro.sim.flows.MacroWindow.quiescent` and
+    the posted queue is empty with its dispatcher parked, and (d) every
+    line lands in the destination's ready, untraced local DRAM through
+    one route row (so the lines are contiguous there).  Anything else:
+    per-packet.
     """
     chip = core.chip
     sim = core.sim
@@ -151,11 +154,6 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     d = link._dirs[binding.side]
     if not MacroWindow.quiescent(d):
         return None
-    cred = d.credits[VirtualChannel.POSTED]
-    if cred._credits != cred.initial:
-        return None
-    if d.rx._items or len(d.rx._getters) != 1:
-        return None
     pq = nb.posted_q
     if pq._items or pq._putters or len(pq._getters) != 1:
         return None
@@ -163,7 +161,7 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     if dest_chip is None:
         return None
     dest_nb = dest_chip.nb
-    if not dest_nb._started:
+    if not dest_nb._started or dest_chip.memctrl.tracer.enabled:
         return None
     proto = make_posted_write(addr, data[:CACHELINE], unitid=nb.nodeid,
                               coherent=False)
@@ -172,7 +170,8 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     # Credit headroom: at most ceil((ser+prop)/ser) per-packet credits are
     # ever in flight; with strictly more than that (+1 margin) available
     # the pump can never stall, so skipping credit traffic is invisible.
-    if cred.initial <= math.ceil((ser + prop) / ser) + 1:
+    if (d.credits[VirtualChannel.POSTED].initial
+            <= math.ceil((ser + prop) / ser) + 1):
         return None
     dt = dest_chip.timing
     rxs = dt.nb_request_ns + dt.nb_iobridge_ns
@@ -224,23 +223,18 @@ class BulkTrain(MacroWindow):
         proto = make_posted_write(addr, data[:CACHELINE],
                                   unitid=self.nb.nodeid, coherent=False)
         self.wire_per_pkt = proto.wire_bytes(binding.link.timing.ht_crc_bytes)
-        self._offs = [self.dest_nb._local_offset(addr + i * CACHELINE)
-                      for i in range(nlines)]
         self.metrics_on = self.nb._m.enabled
         self._depth_series = f"{self.nb.name}.posted_q_depth"
         # lifecycle
         self.aborted = False
-        self.cut = nlines        # first packet index NOT owned by the train
         self.abort_time = 0.0
         self.resume_fills = 0
         self.resume_put: Optional[Event] = None
         self.wake: Optional[Event] = None
         self._pump_wake: Optional[Event] = None
         # Speculative calendar entries (a demotion revokes whatever part
-        # of the precomputed future did not happen): the receiver commit
-        # chain's next hop (line _chain_idx), completion, finalization.
-        self._chain = MacroEntry(self.sim)
-        self._chain_idx = 0
+        # of the precomputed future did not happen): completion and
+        # finalization.
         self._complete_e = MacroEntry(self.sim)
         self._finalize_e = MacroEntry(self.sim)
         self._span: Optional[CommitSpan] = None
@@ -295,7 +289,6 @@ class BulkTrain(MacroWindow):
         self.ss = ss
         self.t_end = accept[K - 1]
         self.t_final = max(putc[K - 1], ss[K - 1] + SER)
-        self._mcw_off = SER + self.prop + self.rxs
 
     def _compute_depths(self) -> List[tuple]:
         """(time, value) posted-queue depth samples the dispatcher would
@@ -381,7 +374,7 @@ class BulkTrain(MacroWindow):
             self._depth_applied = i
 
     # ------------------------------------------------------------------
-    # Launch / receiver chain / completion
+    # Launch / completion
     # ------------------------------------------------------------------
     def launch(self) -> None:
         sim = self.sim
@@ -393,38 +386,21 @@ class BulkTrain(MacroWindow):
         if self.metrics_on:
             self.nb._m.inc("train.windows")
             self.nb._m.inc("train.lines", self.K)
+        # The whole destination commit schedule becomes one arithmetic
+        # span on the controller instead of two calendar entries per line
+        # (see repro.sim.flows.CommitSpan): line i reaches the receiver's
+        # write_posted one serialization, the cable and its crossbar after
+        # its serialization starts.
+        off = self.ser + self.prop + self.rxs
+        self._span = CommitSpan(
+            sim, self.dest_mc, self.dest_nb,
+            self.dest_nb._local_offset(self.addr), self._mv,
+            array("d", [s + off for s in self.ss]), CACHELINE)
         # Cancellable rather than guarded no-ops: a stale entry would
         # still drag the clock out to t_final when an interrupt makes the
         # calendar drain early.
-        if not self.dest_mc.tracer.enabled:
-            # The whole destination commit schedule becomes one
-            # arithmetic span on the controller instead of two calendar
-            # entries per line (see repro.sim.flows.CommitSpan).
-            off = self._mcw_off
-            self._span = CommitSpan(
-                sim, self.dest_mc, self.dest_nb, self._offs, self._mv,
-                array("d", [s + off for s in self.ss]), CACHELINE)
-        else:
-            self._chain.arm(self.ss[0] + self._mcw_off, self._commit, (0,))
         self._complete_e.arm(self.t_end, self._complete, None)
         self._finalize_e.arm(self.t_final, self._finalize, None)
-
-    def _commit(self, i: int) -> None:
-        """Receiver-side commit of packet ``i`` at its exact per-packet
-        instant: the real destination memory write plus rx accounting.
-        One live calendar entry walks the train (traced destinations, and
-        a demoted commit span's not-yet-arrived tail)."""
-        self._chain.fired()
-        if i >= self.cut:
-            return
-        base = i * CACHELINE
-        self.dest_nb.counters.inc("rx_writes")
-        self.dest_mc.write_posted(self._offs[i],
-                                  self._mv[base:base + CACHELINE])
-        j = i + 1
-        if j < self.cut:
-            self._chain_idx = j
-            self._chain.arm(self.ss[j] + self._mcw_off, self._commit, (j,))
 
     def _complete(self, _=None) -> None:
         self._complete_e.fired()
@@ -466,22 +442,12 @@ class BulkTrain(MacroWindow):
         npop = bisect_left(pop, T)        # packets popped by the dispatcher
         nput = bisect_left(putc, T)       # packets accepted into the TX queue
         nser = bisect_left(ss, T)         # packets whose serialization began
-        self.cut = nser
-        # Revoke the speculative future: completion/finalization entirely,
-        # and the commit chain's pending hop if it points past the cut.
+        # Revoke the speculative future.  Lines already on the wire still
+        # arrive and commit through the span; the per-packet path carries
+        # every later line.
         self._complete_e.cancel()
         self._finalize_e.cancel()
-        if self._chain_idx >= nser:
-            self._chain.cancel()
-        if self._span is not None:
-            # Commit span: flushed commits stay, in-flight ones become
-            # real calendar entries, and the not-yet-arrived tail
-            # (strictly before the cut) re-arms the per-line chain.
-            j0 = self._span.abort(T)
-            self._span = None
-            if j0 < nser:
-                self._chain_idx = j0
-                self._chain.arm(ss[j0] + self._mcw_off, self._commit, (j0,))
+        self._span.truncate(nser)
         self._apply_effects(T, False)
         self.abort_time = T
         self.resume_fills = f

@@ -51,24 +51,19 @@ __all__ = [
 
 @dataclass
 class SimFeatures:
-    """Runtime switches for the wall-clock fast paths.
+    """Runtime switches for the macro-event fast paths.
 
     They exist as flags so the wall-clock benchmark and the equivalence
-    tests can run the same workload in legacy and fast mode and compare
-    (see DESIGN.md, "Performance model equivalence").  Not all of them
-    are virtual-time invariant: ``poll_parking`` moves DRAM commit times
-    under memory-port contention (the ``mpi_mix`` pins of
-    ``benchmarks/perf`` are recorded with it on), and under link faults
-    the WC trains and flow-level windows still diverge from per-packet
-    mode (the strict-xfail fault oracles in
-    ``tests/test_train_equivalence.py`` and
-    ``tests/test_flow_equivalence.py``).  Fault-free, the two macro
-    flags change only wall-clock cost.
+    tests can run the same workload in per-packet and macro mode and
+    compare (see DESIGN.md, "Performance model equivalence").  Fault-free,
+    both change only wall-clock cost; under link faults the WC trains and
+    flow-level windows still diverge from per-packet mode (the
+    strict-xfail fault oracles in ``tests/test_train_equivalence.py`` and
+    ``tests/test_flow_equivalence.py``).  Poll parking is not a flag: it
+    is part of the model (an idle receiver's busy polls would claim its
+    memory port), and the pins and goldens are recorded with it.
     """
 
-    #: Park idle polling receivers on a memory doorbell instead of
-    #: burning one calendar entry per poll iteration.
-    poll_parking: bool = True
     #: Every macro path that pays in wall-clock: an uncontended bulk WC
     #: store's whole packet train (fill/dispatch/serialize pipeline) in
     #: closed-form arithmetic, its destination commits as one arithmetic

@@ -28,7 +28,7 @@ carries the pattern to the train's destination and to two more classes:
   per-slot path issues back-to-back 64-byte WC stores with zero virtual
   time between the store calls, so a single span store walks the same
   fill/stream schedule line for line.  Exact per-slot timestamps on
-  demotion therefore come for free -- the train's own abort replays the
+  demotion therefore come for free -- the train's own demotion replays the
   identical per-line instants.
 
 Contract (DESIGN.md section 12): :class:`ReadFlow` and the bulk train are
@@ -48,7 +48,7 @@ coalescing, because a span rides a train whose demotion on a link
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 from ..ht.packet import make_read_response
@@ -91,8 +91,13 @@ class MacroWindow:
     def quiescent(d) -> bool:
         """True when link direction ``d`` can be planned: link active with
         BER 0 and no tracer, no window owning it, PHY idle with no waiters,
-        and every VC TX queue empty with only its parked pump and no
-        putters."""
+        every VC TX queue empty with only its parked pump and no putters,
+        every credit pool full, and the rx loop parked on an empty store.
+
+        Full credit pools double as the in-flight test: any packet between
+        TX queue and receiver consumption holds a credit, so nothing can
+        arrive on ``d`` until a foreign send, which demotes the window
+        first."""
         link = d.link
         if link.state != "active" or link._ber > 0 or link.tracer.enabled:
             return False
@@ -101,7 +106,10 @@ class MacroWindow:
         for q in d.txq.values():
             if q._items or q._putters or len(q._getters) != 1:
                 return False
-        return True
+        for cred in d.credits.values():
+            if cred._credits != cred.initial:
+                return False
+        return not d.rx._items and len(d.rx._getters) == 1
 
     def _claim(self, *owners) -> None:
         self._owners = owners
@@ -210,12 +218,14 @@ def plan_eager_span(seq0: int, nslots: int, free_slots: int,
 class CommitSpan:
     """Arithmetic replacement for a train's per-line destination commits.
 
-    A clean :class:`~repro.opteron.train.BulkTrain` spends two calendar
-    entries per line on the destination side: the chain entry that calls
-    ``write_posted`` at the exact per-packet instant, and the memory
-    controller's own commit entry.  A ``CommitSpan`` eliminates both.  It
-    registers the whole arrival schedule with the controller and keeps
-    three lazily-advanced cursors:
+    Per packet, each line of a train costs the destination two calendar
+    entries: the rx loop's ``write_posted`` at the line's arrival and the
+    memory controller's commit entry.  A ``CommitSpan`` eliminates both;
+    it is the only way a :class:`~repro.opteron.train.BulkTrain` reaches
+    destination DRAM.  The lines are contiguous in DRAM (one route row
+    covers the train), so line ``i`` lands at ``off0 + i * line``.  The
+    span registers the whole arrival schedule with the controller and
+    keeps three lazily-advanced cursors:
 
     * ``_applied``  -- arrivals folded into the controller's FCFS port
       arithmetic.  The controller calls :meth:`sync_to` before serving
@@ -226,64 +236,54 @@ class CommitSpan:
     * ``_flushed``  -- commits whose DRAM content, ``writes`` accounting
       and doorbell rings have been applied.  Flushing happens at
       observation points only: a foreign commit, a direct sample, a
-      doorbell wake, demotion, the span's finalize entry, or a return
-      from ``Simulator.run`` / ``run_until_event`` (the controller is
-      listed in ``sim._span_hosts`` while it holds spans).
-    * deferred doorbell rings -- the span registers as a *provider* on
-      every watched doorbell overlapping its range, so ``Doorbell.count``
-      reads fold in rings that exist arithmetically, and a calendar
-      entry is spent only when a consumer actually parks (:meth:`arm`).
+      doorbell wake, the span's finalize entry, or a return from
+      ``Simulator.run`` / ``run_until_event`` (the controller is listed
+      in ``sim._span_hosts`` while it holds spans).
+    * deferred doorbell rings -- every watched range overlapping the span
+      is one ``(doorbell, i0, i1)`` record of the line indices it covers,
+      and the span registers as a *provider* on that doorbell, so
+      ``Doorbell.count`` reads fold in rings that exist arithmetically; a
+      calendar entry is spent only when a consumer actually parks
+      (:meth:`arm`).
 
     Exactness contract: every externally observable quantity -- port
     claim times, memory contents at read-commit instants, doorbell
     counts and wake times, ``writes``/``rx_writes`` totals at any
-    quiescent point -- matches the per-packet run.  On demotion
-    (:meth:`abort`) in-flight commits become real calendar entries and
-    the not-yet-arrived tail is handed back to the train's chain.
+    quiescent point -- matches the per-packet run.  A demoted train
+    truncates its span to the lines already on the wire
+    (:meth:`truncate`); the per-packet path carries the rest.
     """
 
-    __slots__ = ("sim", "mc", "dest_nb", "offs", "mv", "times", "K",
+    __slots__ = ("sim", "mc", "dest_nb", "off0", "mv", "times", "K",
                  "line", "occ", "_lat", "_c", "_applied", "_flushed",
-                 "_contig", "_recs", "_entries", "_fin", "_detached")
+                 "_recs", "_entries", "_fin", "_detached")
 
-    def __init__(self, sim, mc, dest_nb, offs, mv, times, line):
+    def __init__(self, sim, mc, dest_nb, off0, mv, times, line):
         self.sim = sim
         self.mc = mc
         self.dest_nb = dest_nb
-        self.offs = offs
+        self.off0 = off0              # DRAM offset of line 0
         self.mv = mv
         # Per-line instants are packed doubles (``times`` arrives as an
         # ``array("d")`` too): as lists, the two series of 64 concurrent
         # 256 KiB trains would hold 16 MiB of float objects, not 4 MiB.
         self.times = times            # exact per-line write_posted instants
-        self.K = len(offs)
+        self.K = len(times)
         self.line = line
         self.occ = mc._occupancy_ns(line)
         self._lat = mc.timing.dram_write_ns
         self._c = array("d")          # commit instants, filled as applied
         self._applied = 0
         self._flushed = 0
-        self._contig = all(offs[i + 1] - offs[i] == line
-                           for i in range(self.K - 1))
-        #: (doorbell, sorted overlapping line indices) for watched ranges.
-        self._recs = []
+        #: (doorbell, i0, i1): one per watched range, lines i0 <= i < i1.
+        self._recs: List[Tuple[object, int, int]] = []
         self._entries = {}            # doorbell -> (MacroEntry, seen count)
         self._fin = MacroEntry(sim)
         self._detached = False
         for lo, hi, db in mc._watches:
-            idxs = [i for i in range(self.K)
-                    if offs[i] < hi and offs[i] + line > lo]
-            if idxs:
-                self._recs.append((db, idxs))
-                db._providers.append(self)
+            self._add_rec(lo, hi, db, 0)
         mc._spans.append(self)
         sim._span_hosts[mc] = None
-        # A consumer already parked before this span existed (the usual
-        # receive pattern: park first, traffic arrives later) would never
-        # hit the park-time arming hook -- arm for it now.
-        for db, _idxs in self._recs:
-            if db._waiters:
-                self.arm(db)
         # One entry holds the calendar open to the last commit (the
         # per-packet run's final _commit_write entry); re-armed if
         # foreign port occupancy pushes the true instant later.
@@ -323,9 +323,6 @@ class CommitSpan:
         return b + self._lat
 
     # -- content / accounting flush -----------------------------------------
-    def _rings(self, idxs, n: int) -> int:
-        return bisect_left(idxs, n)
-
     def flush_until(self, now: float) -> None:
         self.sync_to(now)
         n = bisect_right(self._c, now)
@@ -333,77 +330,88 @@ class CommitSpan:
         if n <= f:
             return
         mc = self.mc
-        if self._contig:
-            base = f * self.line
-            mc.memory.write_span(self.offs[f], self.mv[base:n * self.line])
-        else:
-            for i in range(f, n):
-                base = i * self.line
-                mc.memory.write_span(self.offs[i],
-                                     self.mv[base:base + self.line])
+        line = self.line
+        mc.memory.write_span(self.off0 + f * line, self.mv[f * line:n * line])
         mc.writes += n - f
-        mc.bytes_written += (n - f) * self.line
-        for db, idxs in self._recs:
-            db._count += self._rings(idxs, n) - self._rings(idxs, f)
+        mc.bytes_written += (n - f) * line
+        for db, i0, i1 in self._recs:
+            lo = f if f > i0 else i0
+            hi = n if n < i1 else i1
+            if hi > lo:
+                db._count += hi - lo
         self._flushed = n
 
-    # -- dynamic watch registration -----------------------------------------
+    # -- watched ranges -------------------------------------------------------
+    def _add_rec(self, lo: int, hi: int, db, first: int) -> None:
+        """Record the lines from ``first`` on that overlap DRAM range
+        ``[lo, hi)`` as ring sources of ``db``.  A consumer parked before
+        the record existed (the usual receive pattern: park first,
+        traffic arrives later) never hit the park-time arming hook, so
+        arm for it here."""
+        line = self.line
+        i0 = max(first, (lo - self.off0) // line)
+        i1 = min(self.K, (hi - self.off0 + line - 1) // line)
+        if i0 >= i1:
+            return
+        if all(d is not db for d, _i0, _i1 in self._recs):
+            db._providers.append(self)
+        self._recs.append((db, i0, i1))
+        if db._waiters:
+            self.arm(db)
+
+    def _next_ring(self, db) -> int:
+        """Index of the next unflushed line that rings ``db`` (``K`` if
+        none does)."""
+        f = self._flushed
+        j = self.K
+        for d, i0, i1 in self._recs:
+            if d is db:
+                lo = f if f > i0 else i0
+                if lo < i1 and lo < j:
+                    j = lo
+        return j
+
     def add_watch(self, lo: int, hi: int, db, now: float) -> None:
         """A watch appeared mid-span (the receive path registers lazily on
         first park).  Per-packet semantics: only commits *after* the
         registration instant ring -- commits due by ``now`` were already
         observable (and are flushed here for good measure)."""
-        self.sync_to(now)
         self.flush_until(now)
-        idxs = [i for i in range(self._flushed, self.K)
-                if self.offs[i] < hi and self.offs[i] + self.line > lo]
-        if not idxs:
-            return
-        for d, existing in self._recs:
-            if d is db:
-                merged = sorted(set(existing) | set(idxs))
-                existing[:] = merged
-                break
-        else:
-            self._recs.append((db, idxs))
-            db._providers.append(self)
-        if db._waiters:
-            self.arm(db)
+        self._add_rec(lo, hi, db, self._flushed)
 
     def remove_watch(self, db) -> None:
         ent = self._entries.pop(db, None)
         if ent is not None:
             ent[0].cancel()
-        for i, (d, _idxs) in enumerate(self._recs):
-            if d is db:
-                del self._recs[i]
-                db._providers.remove(self)
-                return
+        recs = [r for r in self._recs if r[0] is not db]
+        if len(recs) < len(self._recs):
+            self._recs = recs
+            db._providers.remove(self)
 
     # -- doorbell provider protocol -----------------------------------------
     def pending_rings(self, db, now: float) -> int:
         self.sync_to(now)
         n = bisect_right(self._c, now)
-        for d, idxs in self._recs:
+        f = self._flushed
+        c = 0
+        for d, i0, i1 in self._recs:
             if d is db:
-                return self._rings(idxs, n) - self._rings(idxs, self._flushed)
-        return 0
+                lo = f if f > i0 else i0
+                hi = n if n < i1 else i1
+                if hi > lo:
+                    c += hi - lo
+        return c
 
     def arm(self, db) -> None:
         """A consumer parked on ``db``: spend a calendar entry at the
         next overlapping commit instant so the wake is not lost."""
         if db in self._entries:
             return
-        for d, idxs in self._recs:
-            if d is db:
-                j = idxs[self._rings(idxs, self._flushed)] \
-                    if self._rings(idxs, self._flushed) < len(idxs) else None
-                if j is None:
-                    return
-                ent = MacroEntry(self.sim)
-                ent.arm(self._estimate(j), self._ring_fire, (db,))
-                self._entries[db] = (ent, db.count)
-                return
+        j = self._next_ring(db)
+        if j < self.K:
+            ent = MacroEntry(self.sim)
+            ent.arm(self._estimate(j), self._ring_fire, (db,))
+            self._entries[db] = (ent, db.count)
 
     def _ring_fire(self, db) -> None:
         ent, seen = self._entries.pop(db)
@@ -433,33 +441,30 @@ class CommitSpan:
         for ent, _ in self._entries.values():
             ent.cancel()
         self._entries.clear()
-        for db, _ in self._recs:
+        for db in dict.fromkeys(d for d, _i0, _i1 in self._recs):
             db._providers.remove(self)
         mc = self.mc
         mc._spans.remove(self)
         if not mc._spans:
             del self.sim._span_hosts[mc]
 
-    def abort(self, T: float) -> int:
-        """Demote: make the per-packet state real at instant ``T``.
-
-        Commits already flushed stay; arrivals claimed but not committed
-        become the real ``_commit_write`` calendar entries the per-packet
-        run would have in flight; everything after returns to the caller
-        (the first line index whose ``write_posted`` call has not
-        happened -- the train re-arms its per-line chain from there).
-        """
-        self.sync_to(T)
-        self.flush_until(T)
-        mc = self.mc
-        for i in range(self._flushed, self._applied):
-            base = i * self.line
-            self.sim._push(self._c[i], mc._commit_write,
-                           (self.offs[i], self.mv[base:base + self.line],
-                            None, None))
-        first_uncalled = self._applied
-        self.detach()
-        return first_uncalled
+    def truncate(self, n: int) -> None:
+        """Demote: keep lines ``[0, n)``, those whose serialization began
+        before the demotion instant, and leave the rest to the per-packet
+        path.  Every applied arrival is a kept line (an arrival follows
+        its serialization start), so no port claim is revoked."""
+        if n >= self.K:
+            return
+        assert self._applied <= n, "commit span cut below an applied arrival"
+        self.K = n
+        if self._flushed >= n:
+            self.detach()
+            return
+        for db in list(self._entries):
+            if self._next_ring(db) >= n:
+                self._entries.pop(db)[0].cancel()
+        self._fin.cancel()
+        self._fin.arm(self._estimate(n - 1), self._finalize, None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +501,9 @@ class ReadFlow(MacroWindow):
 
     @classmethod
     def plan(cls, nb, port, pkt, addr, length):
-        """Promote when every resource the macro path bypasses is
-        quiescent and the response provably routes straight back over the
-        same link; otherwise return None (per-packet path).
-
-        The credits-full checks double as an in-flight test: any packet
-        between TX queue and receiver consumption holds a credit, so full
-        pools mean nothing can arrive on either direction until a foreign
-        send happens -- and a foreign send demotes the flow first.
-        """
+        """Promote when both directions of the link are quiescent and the
+        response provably routes straight back over the same link;
+        otherwise return None (per-packet path)."""
         binding = nb.chip.ports.get(port)
         if binding is None or nb._m.enabled:
             return None
@@ -512,14 +511,8 @@ class ReadFlow(MacroWindow):
         req_d = link._dirs[binding.side]
         rsp_side = "B" if binding.side == "A" else "A"
         rsp_d = link._dirs[rsp_side]
-        for d in (req_d, rsp_d):
-            if not cls.quiescent(d):
-                return None
-            if d.rx._items or len(d.rx._getters) != 1:
-                return None
-            for cred in d.credits.values():
-                if cred._credits != cred.initial:
-                    return None
+        if not (cls.quiescent(req_d) and cls.quiescent(rsp_d)):
+            return None
         dest_chip = link.attached.get(rsp_side)
         if dest_chip is None:
             return None

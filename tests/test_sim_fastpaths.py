@@ -13,11 +13,14 @@ Three families, matching the hot-path overhaul's risk surface:
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
 from repro.ht import Link, LinkSide, VirtualChannel, make_posted_write
+from repro.msglib.endpoint import Endpoint
 from repro.sim import Doorbell, Interrupt, Simulator
+from repro.sim.trace import NULL_TRACER, Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +173,8 @@ def test_parked_receiver_wakes_for_concurrent_send():
     (quantized to the poll grid) a busy-polling receiver would see it."""
     from repro.core import TCClusterSystem
 
-    def run(parking: bool):
+    def run():
         sys_ = TCClusterSystem.two_board_prototype()
-        sys_.sim.features.poll_parking = parking
         sys_.boot()
         cl = sys_.cluster
         a, b = cl.rank_of(0, 1), cl.rank_of(1, 1)
@@ -194,8 +196,11 @@ def test_parked_receiver_wakes_for_concurrent_send():
         assert got and got[0][0] == b"wake-up" * 9
         return got[0][1], rx.stats.park_wakes
 
-    t_parked, wakes_parked = run(parking=True)
-    t_polled, wakes_polled = run(parking=False)
+    t_parked, wakes_parked = run()
+    # Busy-polling reference: the receiver never finds a doorbell to
+    # park on, as for a deadline-guarded receive.
+    with mock.patch.object(Endpoint, "_parking_doorbell", lambda self: None):
+        t_polled, wakes_polled = run()
     assert wakes_parked >= 1, "the idle window must actually park"
     assert wakes_polled == 0
     assert t_parked == t_polled, "parking moved the receive completion time"
@@ -216,7 +221,7 @@ _STREAM_RECORDS = {
 }
 
 
-def _run_stream(seed: int, probes=()):
+def _run_stream(seed: int, probes=(), tracer=NULL_TRACER):
     """Drive a seeded random posted-write stream through a clean link.
 
     Stops ``run(until=t)`` at each probe instant to snapshot the TX
@@ -228,7 +233,7 @@ def _run_stream(seed: int, probes=()):
     gaps = [rng.choice((0.0, 0.0, 0.0, 5.0, 500.0)) for _ in sizes]
 
     sim = Simulator()
-    link = Link(sim, "l0")
+    link = Link(sim, "l0", tracer=tracer)
     link.activate("noncoherent")
     deliveries = []
     wire = []
@@ -286,6 +291,19 @@ def test_link_stats_exact_mid_stream(seed):
         assert packets == len(done), f"packets at t={t}"
         assert wire_bytes == sum(wb for wb, _ in done), f"wire_bytes at t={t}"
         assert busy_ns == sum(ser for _, ser in done), f"busy_ns at t={t}"
+
+
+@pytest.mark.parametrize("seed", sorted(_STREAM_RECORDS))
+def test_traced_link_delivers_like_untraced(seed):
+    """Tracing a link records its deliveries without changing how they
+    happen: the same delivery instants and the same calendar entries,
+    with one rx record per delivery at its instant."""
+    plain, _, _, link = _run_stream(seed)
+    tracer = Tracer()
+    traced, _, _, traced_link = _run_stream(seed, tracer=tracer)
+    assert traced == plain
+    assert traced_link.sim.event_count == link.sim.event_count
+    assert [r.time for r in tracer.by_event("rx")] == [t for t, _, _ in plain]
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
         f = span._flushed
         orig_flush(span, now)
         if span.mc is dest_mc:
-            commits.extend((span._c[i], span.offs[i], span.line)
+            commits.extend((span._c[i], span.off0 + i * span.line, span.line)
                            for i in range(f, span._flushed))
 
     done = {}
@@ -277,6 +277,95 @@ def test_default_features_commit_through_span():
     assert per_line == [], "train commits left the commit span"
     assert not sim._span_hosts, "commit span never detached"
     assert dest_mc.memory.read(off, len(data)) == data
+
+
+def run_send_demotion(fast, K=64, t_off=700.0):
+    """A ``K``-line bulk store demoted by a foreign send on its link
+    direction ``t_off`` ns in.  Returns the destination commits of the
+    store's lines, split by path: ``span`` lists ``(instant, line)`` as
+    commit spans flush them, ``per_line`` the real ``_commit_write``
+    entries.  With ``fast`` it also returns the demotion instant ``T``
+    and ``nser``, the lines whose serialization began before ``T``."""
+    from bisect import bisect_left
+
+    from repro.ht.packet import make_posted_write
+
+    sim, win, dest_mc, off = _two_board_store(fast)
+    core = win.proc.core
+    nb = core.chip.nb
+    binding = core.chip.ports[nb.route(win.tx_base).dst_link]
+    link, side = binding.link, binding.side
+    data = bytes((i * 37 + 5) % 256 for i in range(K * CACHELINE))
+    out = {"span": [], "per_line": []}
+    orig = dest_mc._commit_write
+
+    def spy(offset, d, mask, done):
+        if off <= offset < off + len(data):
+            out["per_line"].append((sim.now, (offset - off) // CACHELINE))
+        return orig(offset, d, mask, done)
+
+    dest_mc._commit_write = spy
+    orig_flush = CommitSpan.flush_until
+
+    def span_spy(span, now):
+        f = span._flushed
+        orig_flush(span, now)
+        out["span"].extend((span._c[i], i) for i in range(f, span._flushed))
+
+    def disturb():
+        train = nb._macro
+        if train is not None:
+            out["T"] = sim.now
+            out["nser"] = bisect_left(train.ss, sim.now)
+        pkt = make_posted_write(win.tx_mailbox, b"\x5a" * 64,
+                                unitid=nb.nodeid, coherent=False)
+        if not link.try_send(side, pkt):
+            link.send(side, pkt)
+
+    sim.process(win.proc.store(win.tx_base, data))
+    sim.schedule(t_off, disturb)
+    with mock.patch.object(CommitSpan, "flush_until", span_spy):
+        sim.run()
+    assert dest_mc.memory.read(off, len(data)) == data
+    out["t_end"] = sim.now
+    return out
+
+
+def test_demoted_train_commits_serializing_lines_through_span():
+    # Lines whose serialization began before the demotion stay in the
+    # commit span (no _commit_write entry for any of them), every later
+    # line takes the per-packet path, and together they commit at the
+    # per-packet instants.
+    slow = run_send_demotion(False)
+    fast = run_send_demotion(True)
+    T, nser = fast["T"], fast["nser"]
+    assert 0 < nser < 64, "the send missed the train window"
+    assert any(t > T for t, _ in fast["span"]), (
+        "lines in flight at the demotion left the commit span")
+    assert [i for _, i in fast["span"]] == list(range(nser))
+    assert sorted(i for _, i in fast["per_line"]) == list(range(nser, 64))
+    assert slow["span"] == []
+    assert sorted(fast["span"] + fast["per_line"]) == sorted(slow["per_line"])
+    assert fast["t_end"] == slow["t_end"]
+
+
+def test_plan_train_refuses_traced_destination():
+    # The commit span is a train's only path to destination DRAM, so a
+    # traced destination controller keeps the store per-packet.
+    from repro.opteron.train import plan_train
+    from repro.sim.trace import Tracer
+
+    sim, win, dest_mc, off = _two_board_store()
+    core = win.proc.core
+    data = bytes(range(256)) * 16
+    assert plan_train(core, win.tx_base, data) is not None
+    dest_mc.tracer = Tracer()
+    assert plan_train(core, win.tx_base, data) is None
+    sim.process(win.proc.store(win.tx_base, data))
+    sim.run()
+    assert core.chip.nb.counters.get("train_windows") == 0
+    assert dest_mc.memory.read(off, len(data)) == data
+    assert len(dest_mc.tracer.by_event("write_done")) == len(data) // CACHELINE
 
 
 # ---------------------------------------------------------------------------
