@@ -25,6 +25,8 @@ __all__ = ["Memory", "MemoryController", "MemoryError_"]
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
+_INF = float("inf")
+
 #: Dual-channel DDR2-800 peak transfer rate, bytes/ns.
 DDR2_BYTES_PER_NS = 12.8
 
@@ -221,28 +223,39 @@ class MemoryController:
 
     # -- commit-span support (flow-level fidelity) -------------------------
     def _sync_spans(self, now: float) -> None:
-        """Apply all span arrivals due by ``now`` in global time order."""
+        """Apply all span arrivals due by ``now`` in global time order,
+        equal instants to the span registered first.  The only way span
+        arrivals reach the port: each round folds the earliest span up to
+        the next arrival of any other span in one
+        :meth:`~repro.sim.flows.CommitSpan.sync_to` call."""
         spans = self._spans
         if len(spans) == 1:
             spans[0].sync_to(now)
             return
         while True:
             best = None
-            ba = now
+            ba = _INF
             for s in spans:
                 a = s.next_arrival()
-                if a <= ba:
+                if a < ba:
                     best, ba = s, a
-            if best is None:
+            if ba > now:
                 return
-            best.apply_one()
+            lim, strict, before = now, False, True
+            for s in spans:
+                if s is best:
+                    before = False
+                    continue
+                a = s.next_arrival()
+                if a < lim or (a == lim and before):
+                    lim, strict = a, before
+            best.sync_to(lim, strict)
 
     def flush_spans(self, now: float) -> None:
         """Make span DRAM content and write accounting real up to ``now``
         (called before any content observation)."""
         if not self._spans:
             return
-        self._sync_spans(now)
         for s in list(self._spans):
             s.flush_until(now)
 

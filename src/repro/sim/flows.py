@@ -48,8 +48,10 @@ coalescing, because a span rides a train whose demotion on a link
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..ht.packet import make_read_response
 from ..obs.metrics import flow_counters
@@ -58,6 +60,14 @@ from .engine import MacroEntry
 __all__ = ["MacroWindow", "plan_eager_span", "CommitSpan", "ReadFlow"]
 
 _INF = float("inf")
+
+#: Folds of at least this many arrivals run as NumPy idle runs; shorter
+#: ones, and every span shorter than this, take the scalar step.
+#: Measured on idle arrivals 23.75 ns apart (best of 7, 2-vCPU Xeon,
+#: CPython 3.11): scalar vs NumPy 0.0031 vs 0.0042 ms for 16 lines,
+#: 0.0048 vs 0.0041 for 32, 0.018 vs 0.0042 for 128, 0.68 vs 0.011 for
+#: 4096.
+_FOLD_LINES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +238,13 @@ class CommitSpan:
     keeps three lazily-advanced cursors:
 
     * ``_applied``  -- arrivals folded into the controller's FCFS port
-      arithmetic.  The controller calls :meth:`sync_to` before serving
-      any foreign request, so interleaved claims (the receiver's polling
-      loads!) see exactly the ``busy_until`` evolution the per-packet
-      run produces, and span commit times pick up exactly the delays
-      foreign occupancy would have imposed.
+      arithmetic (:meth:`_fold`).  Every fold goes through the
+      controller's ``_sync_spans``, before it serves any foreign request
+      and before any flush, so interleaved claims (the receiver's
+      polling loads!) see exactly the ``busy_until`` evolution the
+      per-packet run produces, span commit times pick up exactly the
+      delays foreign occupancy would have imposed, and spans sharing a
+      controller take the port in global arrival order.
     * ``_flushed``  -- commits whose DRAM content, ``writes`` accounting
       and doorbell rings have been applied.  Flushing happens at
       observation points only: a foreign commit, a direct sample, a
@@ -255,8 +267,8 @@ class CommitSpan:
     """
 
     __slots__ = ("sim", "mc", "dest_nb", "off0", "mv", "times", "K",
-                 "line", "occ", "_lat", "_c", "_applied", "_flushed",
-                 "_recs", "_entries", "_fin", "_detached")
+                 "line", "occ", "_lat", "_c", "_tv", "_cv", "_applied",
+                 "_flushed", "_recs", "_entries", "_fin", "_detached")
 
     def __init__(self, sim, mc, dest_nb, off0, mv, times, line):
         self.sim = sim
@@ -264,15 +276,22 @@ class CommitSpan:
         self.dest_nb = dest_nb
         self.off0 = off0              # DRAM offset of line 0
         self.mv = mv
-        # Per-line instants are packed doubles (``times`` arrives as an
-        # ``array("d")`` too): as lists, the two series of 64 concurrent
-        # 256 KiB trains would hold 16 MiB of float objects, not 4 MiB.
+        # Per-line instants are packed doubles: as lists, the two series
+        # of 64 concurrent 256 KiB trains would hold 16 MiB of float
+        # objects, not 4 MiB.
         self.times = times            # exact per-line write_posted instants
-        self.K = len(times)
+        self.K = K = len(times)
         self.line = line
         self.occ = mc._occupancy_ns(line)
         self._lat = mc.timing.dram_write_ns
-        self._c = array("d")          # commit instants, filled as applied
+        #: Commit instants; exact below ``_applied``, scratch above.
+        self._c = array("d", bytes(8 * K))
+        # NumPy views for the idle-run fold (long spans only).
+        if K >= _FOLD_LINES:
+            self._tv = np.frombuffer(times)
+            self._cv = np.frombuffer(self._c)
+        else:
+            self._tv = self._cv = None
         self._applied = 0
         self._flushed = 0
         #: (doorbell, i0, i1): one per watched range, lines i0 <= i < i1.
@@ -287,46 +306,76 @@ class CommitSpan:
         # One entry holds the calendar open to the last commit (the
         # per-packet run's final _commit_write entry); re-armed if
         # foreign port occupancy pushes the true instant later.
-        self._fin.arm(self._estimate(self.K - 1), self._finalize, None)
+        self._fin.arm(self._estimate(K - 1), self._finalize, None)
 
     # -- port arithmetic ----------------------------------------------------
     def next_arrival(self) -> float:
         return self.times[self._applied] if self._applied < self.K else _INF
 
-    def apply_one(self) -> None:
-        """Fold the next arrival into the controller's port FCFS state."""
-        a = self.times[self._applied]
-        mc = self.mc
-        b = mc._busy_until
-        start = b if b > a else a
-        mc._busy_until = end = start + self.occ
-        self._c.append(end + self._lat)
-        self._applied += 1
-        self.dest_nb.counters.inc("rx_writes")
+    def _fold(self, i: int, n: int, b: float) -> float:
+        """Fold arrivals ``[i, n)`` into a port busy until ``b``: write
+        their commit instants to ``_c`` and return the new busy-until.
 
-    def sync_to(self, now: float) -> None:
+        Per line this is the controller's FCFS step: start at the later
+        of ``b`` and the arrival, hold the port ``occ``, commit ``lat``
+        after that.  A line that finds the port idle starts at its
+        arrival, so a run of such lines folds elementwise as
+        ``(arrival + occ) + lat``, the same two additions.  The run ends
+        at the first line whose predecessor's ``arrival + occ`` exceeds
+        its arrival: the step's own ``b > a`` test, evaluated for every
+        line at once.  A train's arrivals are at least one serialization
+        apart, so after its first idle line a fold is normally one run.
+        Busy lines and folds shorter than ``_FOLD_LINES`` take the step."""
+        times, c, tv = self.times, self._c, self._tv
+        occ, lat = self.occ, self._lat
+        while i < n:
+            a = times[i]
+            if b > a or tv is None or n - i < _FOLD_LINES:
+                b = (b if b > a else a) + occ
+                c[i] = b + lat
+                i += 1
+                continue
+            ends = tv[i:n] + occ
+            busy = ends[:-1] > tv[i + 1:n]
+            r = int(busy.argmax()) + 1 if busy.any() else n - i
+            np.add(ends[:r], lat, out=self._cv[i:i + r])
+            i += r
+            b = times[i - 1] + occ
+        return b
+
+    def sync_to(self, now: float, strict: bool = False) -> None:
+        """Fold every arrival due by ``now`` (strictly before it when
+        ``strict``) into the port.  Only
+        :meth:`~repro.opteron.memory.MemoryController._sync_spans` calls
+        this, so spans sharing a controller fold in global order."""
+        i = self._applied
+        if i >= self.K:
+            return
         times = self.times
-        while self._applied < self.K and times[self._applied] <= now:
-            self.apply_one()
+        a = times[i]
+        if a > now or (strict and a == now):
+            return  # nothing due: the common case on every port claim
+        n = (bisect_left if strict else bisect_right)(times, now, i, self.K)
+        mc = self.mc
+        mc._busy_until = self._fold(i, n, mc._busy_until)
+        self._applied = n
+        self.dest_nb.counters.inc("rx_writes", n - i)
 
     def _estimate(self, j: int) -> float:
         """Earliest possible commit instant of line ``j`` (exact once the
-        arrival is applied; a lower bound before -- foreign claims only
-        ever push commits later, so an early entry re-arms, never a late
-        one fires after the fact)."""
-        if j < self._applied:
-            return self._c[j]
-        b = self.mc._busy_until
-        for i in range(self._applied, j + 1):
-            a = self.times[i]
-            b = (b if b > a else a) + self.occ
-        return b + self._lat
+        arrival is applied; a lower bound before -- foreign claims and
+        other spans only ever push commits later, so an early entry
+        re-arms, never a late one fires after the fact).  The tentative
+        instants land in the scratch part of ``_c``."""
+        if j >= self._applied:
+            self._fold(self._applied, j + 1, self.mc._busy_until)
+        return self._c[j]
 
     # -- content / accounting flush -----------------------------------------
     def flush_until(self, now: float) -> None:
-        self.sync_to(now)
-        n = bisect_right(self._c, now)
+        self.mc._sync_spans(now)
         f = self._flushed
+        n = bisect_right(self._c, now, f, self._applied)
         if n <= f:
             return
         mc = self.mc
@@ -390,9 +439,9 @@ class CommitSpan:
 
     # -- doorbell provider protocol -----------------------------------------
     def pending_rings(self, db, now: float) -> int:
-        self.sync_to(now)
-        n = bisect_right(self._c, now)
+        self.mc._sync_spans(now)
         f = self._flushed
+        n = bisect_right(self._c, now, f, self._applied)
         c = 0
         for d, i0, i1 in self._recs:
             if d is db:
