@@ -129,7 +129,7 @@ class CollectivePoint:
     elapsed_ns: float      # virtual time of the collective
     mbps: float            # size / elapsed -- the effective per-rank rate
     events: int            # calendar entries executed by the collective
-    slot_windows: int      # flow-fidelity spans engaged (0 = per-packet)
+    slot_windows: int      # slot spans engaged (0 = per-packet)
     slot_slots: int        # ring slots carried by those spans
     ring_single_hop: bool  # embedding proof: every ring hop crosses <=1 link
 
@@ -213,9 +213,8 @@ def collective_point(op: str, algorithm: str, size: int,
     per supernode, ring collectives embedded on the Hamiltonian
     supernode ring (single-hop by construction on even grids).  The
     message-library window is widened so bandwidth-bound chunks stay on
-    the eager ring path, where the flow-fidelity layer coalesces them
-    into slot spans (reported via ``slot_windows``/``slot_slots``);
-    flow fidelity is forced on for every collective point.
+    the eager ring path, where the default macro plane coalesces them
+    into slot spans (reported via ``slot_windows``/``slot_slots``).
     """
     from ..core.api import TCClusterSystem
     from ..middleware import Communicator
@@ -229,7 +228,6 @@ def collective_point(op: str, algorithm: str, size: int,
     sys_ = TCClusterSystem(torus2d(*shape), msg_cfg=cfg)
     sys_.boot()
     sim = sys_.sim
-    sim.features.flow_fidelity = True
     cl = sys_.cluster
     comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
     elapsed, events = _drive_collective(sim, comms, op, algorithm, size)

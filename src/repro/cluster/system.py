@@ -33,7 +33,7 @@ from ..kernel import Kernel, UserProcess
 from ..msglib import MessageLibrary, MsgConfig
 from ..ht.link import LinkState
 from ..obs.metrics import (MetricsRegistry, collective_counters,
-                           fault_counters, metrics_for)
+                           enable_metrics, fault_counters, metrics_for)
 from ..obs.report import format_report
 from ..opteron import OpteronChip, wire_link
 from ..sim import Barrier, Simulator
@@ -350,10 +350,9 @@ class TCCluster:
         Cheap per-link/per-endpoint counters (packets, bytes, busy time,
         stalls) are always maintained; enabling adds the registry-backed
         series -- latency histograms, occupancy accumulators -- that cost
-        a little per event."""
-        reg = self.registry
-        reg.enabled = True
-        return reg
+        a little per event.  Raises ``SimulationError`` while a macro
+        window is open (see :func:`repro.obs.metrics.enable_metrics`)."""
+        return enable_metrics(self.sim)
 
     def _all_links(self):
         """Every Link in the cluster (TCC cables + board-internal

@@ -69,7 +69,7 @@ Ring and tree phases (single flow per ring direction) keep the
 full-duplex isend+recv overlap -- the Hamiltonian embedding makes every
 ring transfer single-hop, which sinks at its destination without
 forwarding and is deadlock-free by construction.  Large eager-path
-chunks ride the flow-fidelity macro-event layer (:mod:`repro.sim.flows`)
+chunks ride the slot-span macro-event layer (:mod:`repro.sim.flows`)
 exactly like any other msglib traffic.
 """
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
+from ..sim.engine import SimulationError
 from ..sim.trace import IntervalAccumulator
 
 __all__ = [
@@ -251,7 +252,18 @@ def metrics_for(sim) -> MetricsRegistry:
 
 
 def enable_metrics(sim) -> MetricsRegistry:
-    """Turn on metrics collection for ``sim``; returns the registry."""
+    """Turn on metrics collection for ``sim``; returns the registry.
+
+    Raises :class:`~repro.sim.engine.SimulationError` while a macro
+    window is open (``run(until=)`` stopped inside one): its deferred
+    effects, such as a slot span's per-slot ring-occupancy samples,
+    cannot be recorded after the fact.  Enable before the traffic, or
+    once the run has drained."""
+    if sim._windows:
+        raise SimulationError(
+            f"cannot enable metrics at t={sim.now}: {len(sim._windows)} "
+            "macro window(s) open; enable before the traffic or after the "
+            "run drains")
     reg = metrics_for(sim)
     reg.enabled = True
     return reg

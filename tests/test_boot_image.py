@@ -96,8 +96,7 @@ def _workload(cl, nbytes=32 * KiB):
 
 FEATURE_COMBOS = {
     "default": {},
-    "legacy": {"adaptive_fidelity": False, "flow_fidelity": False},
-    "no-flow": {"flow_fidelity": False},
+    "legacy": {"adaptive_fidelity": False},
 }
 
 

@@ -600,14 +600,14 @@ def test_reduce_contribution_length_mismatch_is_typed():
 
 
 def test_allreduce_fidelity_fingerprint_identical():
-    """flow_fidelity on/off: same result bytes, same virtual time; the
-    bulk ring phases must actually engage the macro-event span layer."""
+    """adaptive_fidelity on/off: same result bytes, same virtual time;
+    the bulk ring phases must actually engage the slot-span layer."""
     results = {}
     cfg = MsgConfig(ring_bytes=64 * 1024, eager_max=24576,
                     fb_interval_slots=128)
     for fidelity in (False, True):
         sys_ = TCClusterSystem(torus2d(4, 4), msg_cfg=cfg)
-        sys_.sim.features.flow_fidelity = fidelity
+        sys_.sim.features.adaptive_fidelity = fidelity
         sys_.boot()
         cs = [Communicator.for_cluster(sys_.cluster, r)
               for r in range(sys_.nranks)]

@@ -291,3 +291,36 @@ def test_disabled_metrics_still_provides_link_and_endpoint_counters():
     assert m["links"][m["tcc_links"][0]]["A"]["packets"] > 0
     assert m["message_latency_ns"] == {"count": 0}
     assert m["registry"]["counters"] == {}
+
+
+def test_enable_metrics_raises_inside_a_macro_window():
+    """Attaching metrics mid-window is refused: a run stopped inside a
+    slot span's bulk train cannot enable them, a drained run can."""
+    from repro.msglib import MsgConfig
+    from repro.sim import SimulationError
+    from repro.util.units import KiB
+
+    sys_ = TCClusterSystem(msg_cfg=MsgConfig(
+        ring_bytes=16 * KiB, eager_max=7168, fb_interval_slots=128)).boot()
+    sim = sys_.sim
+    tx, rx = sys_.connect(0, 1)
+
+    def sender():
+        yield from tx.send(bytes(7168))
+        yield from tx.flush()
+
+    def receiver():
+        yield from rx.recv()
+
+    sys_.process(sender)
+    done = sys_.process(receiver)
+    sim.run(until=sim.now + 1000.0)
+    assert sim._windows, "the run did not stop inside a train"
+    for enable in (sys_.enable_metrics, sys_.cluster.enable_metrics,
+                   lambda: enable_metrics(sim)):
+        with pytest.raises(SimulationError, match="macro window"):
+            enable()
+    assert not metrics_for(sim).enabled
+    sys_.run_until(done)
+    sim.run()
+    assert sys_.enable_metrics().enabled
