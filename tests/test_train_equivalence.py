@@ -75,9 +75,9 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0):
     dest_mc._commit_write = spy
     orig_flush = CommitSpan.flush_until
 
-    def span_spy(span, now):
+    def span_spy(span, now, *claimed):
         f = span._flushed
-        orig_flush(span, now)
+        orig_flush(span, now, *claimed)
         if span.mc is dest_mc:
             commits.extend((span._c[i], span.off0 + i * span.line, span.line)
                            for i in range(f, span._flushed))
@@ -308,9 +308,9 @@ def run_send_demotion(fast, K=64, t_off=700.0):
     dest_mc._commit_write = spy
     orig_flush = CommitSpan.flush_until
 
-    def span_spy(span, now):
+    def span_spy(span, now, *claimed):
         f = span._flushed
-        orig_flush(span, now)
+        orig_flush(span, now, *claimed)
         out["span"].extend((span._c[i], i) for i in range(f, span._flushed))
 
     def disturb():
@@ -400,9 +400,9 @@ def run_converging_stores(topo, sources, dest, nbytes, fast):
     mc._commit_write = spy
     orig_flush = CommitSpan.flush_until
 
-    def span_spy(span, now):
+    def span_spy(span, now, *claimed):
         f = span._flushed
-        orig_flush(span, now)
+        orig_flush(span, now, *claimed)
         if span.mc is mc:
             commits.extend((span._c[i], span.off0 + i * span.line)
                            for i in range(f, span._flushed))
