@@ -36,11 +36,6 @@ model's accuracy.  Three scenarios:
   torus2d(4,4): bandwidth-optimal ring (Hamiltonian single-hop
   embedding, flow-span bulk phases) vs binomial reduce+broadcast,
   oracle-checked; the ring run's event count is gated.
-* ``boot_amortization`` -- cold boot vs boot-image restore on
-  mesh2d(4,4) and torus3d(4,4,4): per-phase wall clock (construct /
-  boot protocol / restore), calendar-entry counts, and the end-to-end
-  ratio of an N-point same-signature sweep built from one image; the
-  restore-drain event counts are gated (``boot_restore_events_max``).
 
 Emits ``BENCH_wallclock.json`` (repo root by default) with runtime,
 events executed, heap pushes, and events/sec per scenario, plus speedups
@@ -668,95 +663,6 @@ def bench_read_chain():
     }
 
 
-#: Points per topology in the boot-amortization sweep comparison.
-BOOT_AMORT_POINTS = 8
-
-
-def bench_boot_amortization():
-    """Cold boot vs boot-image restore, wall clock and calendar entries.
-
-    For mesh2d(4,4) and torus3d(4,4,4): time the three phases a sweep
-    point can be built from --
-
-    * ``construct`` -- the object graph alone (chips, links, firmware
-      plans); identical work on both paths,
-    * ``cold`` -- construct + simulate the full boot protocol,
-    * ``restore`` -- construct + install a captured
-      :class:`~repro.cluster.snapshot.BootImage` (start/drain, state
-      restore, clock rebase); **no** boot protocol simulation.
-
-    ``boot_phase_x`` divides what the image skips (cold minus construct)
-    by what restore adds instead (restore minus construct); ``sweep_x``
-    is the end-to-end ratio of an N-point same-signature sweep: N cold
-    boots vs one cold boot + capture + N restores.  Restore-drain event
-    counts are deterministic and gated (``boot_restore_events_max``):
-    a restore must stay a startup drain, never a re-simulated boot.
-    """
-    from repro.cluster.snapshot import capture_image, restore_image
-    from repro.cluster.system import TCCluster
-    from repro.topology import mesh2d, torus3d
-
-    out = {}
-    restore_events_total = 0
-    for name, factory in (("mesh_4x4", lambda: mesh2d(4, 4)),
-                          ("torus_4x4x4", lambda: torus3d(4, 4, 4))):
-        constructs = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            TCCluster(factory())
-            constructs.append(time.perf_counter() - t0)
-        construct = min(constructs)
-
-        colds = []
-        for _ in range(2):
-            t0 = time.perf_counter()
-            cl = TCCluster(factory())
-            cl.boot()
-            cl.sim.run()
-            colds.append(time.perf_counter() - t0)
-        cold = min(colds)
-        boot_events = cl.sim.event_count
-
-        t0 = time.perf_counter()
-        image = capture_image(cl)
-        capture = time.perf_counter() - t0
-
-        restores = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            restored = restore_image(image)
-            restores.append(time.perf_counter() - t0)
-        restore = min(restores)
-        assert restored.restored_from_image
-        restore_events = restored.restore_event_count
-        restore_events_total += restore_events
-
-        # Both paths pay construction; the phases compare what each adds
-        # on top.  Clamp at a fraction of the restore time so timer noise
-        # on the shared construct measurement cannot inflate the ratio.
-        boot_phase = cold - construct
-        restore_phase = max(restore - construct, restore * 0.05)
-        n = BOOT_AMORT_POINTS
-        cold_sweep = n * cold
-        image_sweep = cold + capture + n * restore
-        out[name] = {
-            "construct_s": round(construct, 4),
-            "cold_boot_s": round(cold, 4),
-            "restore_s": round(restore, 4),
-            "capture_s": round(capture, 4),
-            "boot_events": boot_events,
-            "restore_events": restore_events,
-            "boot_phase_x": round(boot_phase / restore_phase, 2),
-            "events_x": round(boot_events / restore_events, 2),
-            "sweep_points": n,
-            "cold_sweep_s": round(cold_sweep, 4),
-            "image_sweep_s": round(image_sweep, 4),
-            "sweep_x": round(cold_sweep / image_sweep, 2),
-        }
-    out["restore_events_total"] = restore_events_total
-    return out
-
-
 def bench_collectives():
     """The collective-algorithms scenario: a 64 KiB allreduce across 16
     ranks on torus2d(4,4), bandwidth-optimal ring vs binomial
@@ -860,7 +766,6 @@ def main(argv=None) -> int:
         "torus_ring": bench_torus_ring(),
         "read_chain": bench_read_chain(),
         "collectives": bench_collectives(),
-        "boot_amortization": bench_boot_amortization(),
     }
 
     seed = SEED_BASELINE
@@ -882,11 +787,6 @@ def main(argv=None) -> int:
         "mesh_adaptive_fidelity_x": scenarios["mesh_4x4"]["speedup_x"],
         "torus_ring_adaptive_fidelity_x": scenarios["torus_ring"]["speedup_x"],
         "read_chain_adaptive_fidelity_x": scenarios["read_chain"]["speedup_x"],
-        "boot_image_phase_x": {
-            k: v["boot_phase_x"]
-            for k, v in scenarios["boot_amortization"].items()
-            if isinstance(v, dict)
-        },
     }
 
     report = {
@@ -929,9 +829,6 @@ def main(argv=None) -> int:
             ("collectives_events_max",
              scenarios["collectives"]["events"],
              "collectives ring-allreduce scenario"),
-            ("boot_restore_events_max",
-             scenarios["boot_amortization"]["restore_events_total"],
-             "boot-image restore drains"),
         ]
         failed = False
         for key, got, label in gates:

@@ -1,4 +1,4 @@
-"""Design-space exploration harness over the boot-image snapshot layer.
+"""Design-space exploration harness.
 
 A DSE run evaluates a declarative grid of hardware configurations --
 link width, per-lane rate, write-combining buffer count, message-ring
@@ -6,19 +6,12 @@ depth, topology -- and reports the Pareto front over the three axes the
 paper trades against each other: bulk bandwidth, small-message latency,
 and recovery stall under a link flap.
 
-Every grid point is a distinct boot signature, booted **once** (in the
-parent process) and snapshotted into a :class:`BootImage`; each point's
-two-to-three system instantiations (clean bandwidth+latency run, and the
-paired fault run) then *restore* the image instead of re-simulating the
-boot protocol.  Under the process pool the images are shipped to the
-workers through the pool initializer, so no worker ever cold-boots --
-asserted via the :func:`~repro.obs.metrics.boot_image_counters` deltas
-each point carries back.
-
-The recovery-stall metric is a paired measurement: the faulted run
-restores the *same* image as the clean run, so both start bit-identical
-and the difference of their transfer times is exactly the stall the
-LINK_FLAP added (down time + retrain + pipeline refill).
+Each grid point cold-boots two systems of its configuration: a clean one
+for the bandwidth and latency runs, and one for the paired fault run.
+The recovery-stall metric is a paired measurement: a cold boot is
+deterministic, so both systems start bit-identical and the difference of
+their transfer times is exactly the stall the LINK_FLAP added (down time
++ retrain + pipeline refill).
 
 Shape checks (Figure 6/7-style goldens): along the link-width axis with
 all other axes fixed, bandwidth must be monotone non-decreasing and
@@ -35,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..ht.linkinit import EndpointPersona
 from ..sim.parallel import SweepPoint, sweep_values
 from ..util.calibration import DEFAULT_TIMING
 from ..util.units import KiB
@@ -61,7 +55,7 @@ class DseConfig:
     """A declarative sweep grid (cartesian product of the axes)."""
 
     topologies: Tuple[str, ...] = ("proto2",)
-    link_width_bits: Tuple[int, ...] = (8, 16, 32)
+    link_width_bits: Tuple[int, ...] = (8, 16)
     link_gbit_per_lane: Tuple[float, ...] = (1.6,)
     wc_buffers: Tuple[int, ...] = (8,)
     ring_bytes: Tuple[int, ...] = (4 * KiB,)
@@ -70,15 +64,19 @@ class DseConfig:
     #: Ping-pong payload and iteration count for the latency run.
     lat_size: int = 64
     lat_iters: int = 20
-    #: Paired LINK_FLAP run (set False to skip the third instantiation).
+    #: Paired LINK_FLAP run (set False to skip the second cold boot).
     measure_recovery: bool = True
     flap_at_ns: float = 4_000.0
     flap_duration_ns: float = 3_000.0
 
     def specs(self) -> List[Tuple[str, int, float, int, int]]:
+        cap = EndpointPersona.max_width_bits
         for w in self.link_width_bits:
             if w not in LEGAL_WIDTHS:
                 raise ValueError(f"link width {w} not in {LEGAL_WIDTHS}")
+            if w > cap:
+                raise ValueError(f"link width {w} exceeds the {cap}-bit "
+                                 "link capability")
         return list(product(self.topologies, self.link_width_bits,
                             self.link_gbit_per_lane, self.wc_buffers,
                             self.ring_bytes))
@@ -106,8 +104,6 @@ class DsePoint:
     bandwidth_mbps: float      # bulk weak-ordered store stream
     latency_ns: float          # msglib half round trip
     recovery_stall_ns: float   # faulted minus clean transfer time
-    restores: int              # image restores this point performed
-    builds: int                # cold boots this point performed (0 = reuse)
 
 
 def _topology_of(name: str):
@@ -199,29 +195,28 @@ def dse_point(topology: str, width: int, gbit: float, wc: int, ring: int,
               lat_iters: int = 20, measure_recovery: bool = True,
               flap_at_ns: float = 4_000.0,
               flap_duration_ns: float = 3_000.0) -> DsePoint:
-    """Evaluate one grid point: restore the signature's boot image
-    (never cold-boot when the cache is seeded), run the clean
-    bandwidth+latency pair, then the paired fault run."""
-    from ..cluster.snapshot import image_for, restore_image
+    """Evaluate one grid point: cold-boot a system, run the clean
+    bandwidth+latency pair, then cold-boot another for the paired fault
+    run."""
+    from ..cluster import TCCluster
     from ..msglib import MsgConfig
-    from ..obs.metrics import boot_image_counters
 
-    ctr = boot_image_counters()
-    b0, r0 = ctr.built, ctr.restored
     topo, nps = _topology_of(topology)
     timing = DEFAULT_TIMING.scaled(link_width_bits=width,
                                    link_gbit_per_lane=gbit,
                                    wc_buffers=wc)
-    image = image_for(topo, nodes_per_supernode=nps, timing=timing,
-                      msg_cfg=MsgConfig(ring_bytes=ring))
 
-    clean = restore_image(image)
+    def boot():
+        return TCCluster(topo, nodes_per_supernode=nps, timing=timing,
+                         msg_cfg=MsgConfig(ring_bytes=ring)).boot()
+
+    clean = boot()
     bw_ns = _bulk_stream_ns(clean, bw_size)
     lat_ns = _msglib_latency_ns(clean, lat_size, lat_iters)
 
     stall = 0.0
     if measure_recovery:
-        faulted = restore_image(image)
+        faulted = boot()
         faulted_ns = _bulk_stream_ns(faulted, bw_size,
                                      flap_at_ns=flap_at_ns,
                                      flap_duration_ns=flap_duration_ns)
@@ -231,7 +226,6 @@ def dse_point(topology: str, width: int, gbit: float, wc: int, ring: int,
         topology, width, gbit, wc, ring,
         round(bw_size / (bw_ns / 1e9) / 1e6, 1),
         round(lat_ns, 2), round(stall, 1),
-        ctr.restored - r0, ctr.built - b0,
     )
 
 
@@ -297,44 +291,21 @@ class DseReport:
     points: List[DsePoint] = field(default_factory=list)
     pareto: List[DsePoint] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
-    #: Distinct boot signatures the grid spanned (== images built).
-    signatures: int = 0
-    #: Summed per-point boot-image counter deltas; ``built == 0`` proves
-    #: every point restored a shared image instead of cold-booting.
-    image_metrics: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "points": [asdict(p) for p in self.points],
             "pareto": [asdict(p) for p in self.pareto],
             "violations": list(self.violations),
-            "signatures": self.signatures,
-            "image_metrics": dict(self.image_metrics),
         }
 
 
 def run_dse(config: DseConfig = DseConfig(),
             jobs: Optional[Any] = None,
             timeout: Optional[float] = None) -> DseReport:
-    """Run the grid via :mod:`repro.sim.parallel` with shared boot images.
-
-    All distinct signatures are booted and snapshotted in the parent
-    first (one cold boot each); the images ride to the workers via the
-    pool initializer and every point evaluation only restores.
-    """
-    from ..cluster.snapshot import image_for, seed_image_cache
-    from ..msglib import MsgConfig
-
+    """Evaluate every grid point via :mod:`repro.sim.parallel`, then
+    take the Pareto front and the shape checks."""
     specs = config.specs()
-    images = {}
-    for topo_name, w, g, wc, ring in specs:
-        topo, nps = _topology_of(topo_name)
-        timing = DEFAULT_TIMING.scaled(link_width_bits=w,
-                                       link_gbit_per_lane=g, wc_buffers=wc)
-        img = image_for(topo, nodes_per_supernode=nps, timing=timing,
-                        msg_cfg=MsgConfig(ring_bytes=ring))
-        images[img.signature] = img
-
     kwargs = {"bw_size": config.bw_size, "lat_size": config.lat_size,
               "lat_iters": config.lat_iters,
               "measure_recovery": config.measure_recovery,
@@ -348,16 +319,11 @@ def run_dse(config: DseConfig = DseConfig(),
     # big topologies first so they do not straggle.
     out = sweep_values(
         points, cost=lambda p: _topology_of(p.args[0])[0].num_supernodes,
-        jobs=jobs, timeout=timeout,
-        worker_state=list(images.values()), worker_init=seed_image_cache)
-    built = sum(p.builds for p in out)
-    restored = sum(p.restores for p in out)
+        jobs=jobs, timeout=timeout)
     return DseReport(
         points=out,
         pareto=pareto_front(out),
         violations=shape_violations(out),
-        signatures=len(images),
-        image_metrics={"built": built, "restored": restored},
     )
 
 
@@ -369,10 +335,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the full report as JSON to this path")
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny 2-axis grid + image-reuse assertion "
-                             "(the CI configuration)")
+                        help="tiny 2-axis grid (the CI configuration)")
     parser.add_argument("--widths", default=None,
-                        help="comma-separated link widths (e.g. 8,16,32)")
+                        help="comma-separated link widths (e.g. 8,16)")
     parser.add_argument("--topology", action="append", default=None,
                         help="topology spec (repeatable); e.g. proto2, "
                              "torus3d(2,2,2)")
@@ -396,9 +361,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"ring={p.ring_bytes:<6d} bw={p.bandwidth_mbps:>8.1f} MB/s "
               f"lat={p.latency_ns:>8.2f} ns stall={p.recovery_stall_ns:>8.1f} ns")
     print(f"pareto front: {len(report.pareto)}/{len(report.points)} points")
-    print(f"boot images: {report.signatures} built once, "
-          f"{report.image_metrics['restored']} restores, "
-          f"{report.image_metrics['built']} cold boots inside points")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -407,15 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for v in report.violations:
             print(f"SHAPE VIOLATION: {v}")
         return 1
-    if args.smoke:
-        if report.image_metrics["built"] != 0:
-            print("SMOKE FAILURE: a point cold-booted instead of "
-                  "restoring the shared image")
-            return 1
-        if report.image_metrics["restored"] < len(report.points):
-            print("SMOKE FAILURE: fewer restores than points")
-            return 1
-        print("smoke OK: every point restored a shared boot image")
     return 0
 
 

@@ -5,17 +5,6 @@ from .prototypes import (
     TYAN_S2912E_DUAL,
     build_single_board_prototype,
 )
-from .snapshot import (
-    BootImage,
-    SnapshotError,
-    boot_signature,
-    capture_image,
-    restore_image,
-    image_for,
-    seed_image_cache,
-    cached_images,
-    clear_image_cache,
-)
 from .system import ClusterError, RankInfo, TCCluster, default_layout
 
 __all__ = [
@@ -26,13 +15,4 @@ __all__ = [
     "SingleBoardPrototype",
     "build_single_board_prototype",
     "TYAN_S2912E_DUAL",
-    "BootImage",
-    "SnapshotError",
-    "boot_signature",
-    "capture_image",
-    "restore_image",
-    "image_for",
-    "seed_image_cache",
-    "cached_images",
-    "clear_image_cache",
 ]

@@ -124,10 +124,8 @@ class TCCluster:
         layout: Optional[BoardLayout] = None,
         link_ber: float = 0.0,
         skew_tolerance_ns: float = 100.0,
-        sim: Optional[Simulator] = None,
-        amap: Optional[GlobalAddressMap] = None,
     ):
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.topology = topology
         self.timing = timing
         self.msg_cfg = msg_cfg or MsgConfig()
@@ -145,13 +143,10 @@ class TCCluster:
         if layout.num_chips != nodes_per_supernode:
             raise ClusterError("layout chip count mismatch")
 
-        # Address assignment is deterministic in (topology, specs); a
-        # boot image carries the computed map so restore skips it.
-        if amap is None:
-            spec = SupernodeSpec(tuple(NodeSpec(memory_bytes)
-                                       for _ in range(nodes_per_supernode)))
-            amap = assign_addresses(topology, [spec] * topology.num_supernodes)
-        self.amap: GlobalAddressMap = amap
+        spec = SupernodeSpec(tuple(NodeSpec(memory_bytes)
+                                   for _ in range(nodes_per_supernode)))
+        self.amap: GlobalAddressMap = assign_addresses(
+            topology, [spec] * topology.num_supernodes)
 
         # Boards.
         self.boards: List[Board] = [
@@ -249,23 +244,6 @@ class TCCluster:
         return self
 
     # ------------------------------------------------------------------
-    # Boot-image snapshot/restore (see repro.cluster.snapshot)
-    # ------------------------------------------------------------------
-    def capture_image(self):
-        """Snapshot this freshly booted cluster into a
-        :class:`~repro.cluster.snapshot.BootImage` (see that module for
-        the quiescence precondition and bit-exactness argument)."""
-        from .snapshot import capture_image
-        return capture_image(self)
-
-    @classmethod
-    def from_image(cls, image, sim: Optional[Simulator] = None) -> "TCCluster":
-        """A booted cluster restored from ``image`` -- no boot protocol
-        simulation; bit-exact vs a cold boot of the same signature."""
-        from .snapshot import restore_image
-        return restore_image(image, sim=sim)
-
-    # ------------------------------------------------------------------
     def spawn_process(self, rank: int, name: Optional[str] = None,
                       core_index: int = 0) -> UserProcess:
         self._require_ready()
@@ -301,7 +279,7 @@ class TCCluster:
         to their senders, and all volatile on-chip state is lost --
         cached line copies, open write-combining buffers, queued posted
         writes and the message library's unacknowledged retransmit
-        images (DESIGN.md section 15's lost-state model).  Local DRAM,
+        images (DESIGN.md section 14's lost-state model).  Local DRAM,
         and with it the msglib rings and feedback lines, survives.  The
         node stays down until :meth:`rejoin_node` warm-resets it back
         in; reliable endpoints then resynchronize through the in-band

@@ -86,25 +86,10 @@ class TCClusterSystem:
         return cls(mesh2d(rows, cols), nodes_per_supernode=1, timing=timing,
                    memory_bytes=memory_bytes, msg_cfg=msg_cfg)
 
-    @classmethod
-    def from_image(cls, image) -> "TCClusterSystem":
-        """A booted system restored from a
-        :class:`~repro.cluster.snapshot.BootImage` -- skips the boot
-        protocol simulation; bit-exact vs cold-booting the signature."""
-        from ..cluster.snapshot import restore_image
-
-        self = cls.__new__(cls)
-        self.cluster = restore_image(image)
-        return self
-
     # -- lifecycle ----------------------------------------------------------------
     def boot(self) -> "TCClusterSystem":
         self.cluster.boot()
         return self
-
-    def capture_image(self):
-        """Snapshot the freshly booted system into a reusable boot image."""
-        return self.cluster.capture_image()
 
     @property
     def sim(self) -> Simulator:

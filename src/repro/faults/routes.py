@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Tuple
 
 from ..ht.link import Link, LinkSide
-from ..ht.packet import VirtualChannel
 from ..obs.metrics import fault_counters
 from ..opteron.registers import NUM_MMIO_ENTRIES
 from ..topology.address_assignment import MmioDirective, exit_intervals
@@ -161,29 +160,18 @@ class RouteManager:
             fc.reroutes += 1
 
     def _salvage(self, link: Link) -> None:
-        """Move posted packets stranded in the dead link's TX queues back
-        into the owning chip's posted queue -- the dispatcher re-routes
-        them through the just-reprogrammed maps.  Non-posted/response
-        packets are dropped with accounting (the TCC data plane is
-        writes-only; their requesters fail via LinkDownError)."""
-        fc = fault_counters(self.sim)
-        attached = getattr(link, "attached", {})
+        """Hand every packet stranded in the dead link's TX queues back to
+        its owning chip (:meth:`Link.salvage`); the dispatcher re-routes
+        the posted ones through the just-reprogrammed maps.  A packet the
+        link's pump holds at the kill is handed back when the pump NAKs
+        it."""
         for side in (LinkSide.A, LinkSide.B):
-            chip = attached.get(side)
-            d = link._dirs[side]
-            for vc, q in d.txq.items():
+            for q in link._dirs[side].txq.values():
                 while True:
                     ok, pkt = q.try_get()
                     if not ok:
                         break
-                    nb = getattr(chip, "nb", None)
-                    if (vc is VirtualChannel.POSTED and nb is not None
-                            and nb.posted_q.try_put(pkt)):
-                        fc.packets_salvaged += 1
-                    else:
-                        fc.packets_dropped += 1
-                        if nb is not None:
-                            nb._pool.recycle(pkt)
+                    link.salvage(side, pkt)
 
     def _find_unreachable(self) -> List[Tuple[int, int]]:
         """Newly unreachable ordered supernode pairs (accumulated into

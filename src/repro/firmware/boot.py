@@ -327,56 +327,6 @@ class TCClusterFirmware:
             yield AllOf(self.sim, events)
         yield from self.ctx.step(4)
 
-    # -- boot-image snapshot support (repro.cluster.snapshot) -------------
-    def capture_state(self) -> dict:
-        """Snapshot this firmware's completed-boot state as plain data.
-
-        Capture requires the full ``_STAGES`` sequence to have run; the
-        enumeration result is stored as board-chip *indices* so a fresh
-        board's chips can be substituted on restore."""
-        if self.ctx.mode != "ram" or self._stage != len(_STAGES):
-            raise FirmwareError(
-                f"{self.board.name}: cannot capture before boot completes")
-        enum = self.report.enumeration
-        if enum.foreign_nodes:
-            raise FirmwareError(
-                f"{self.board.name}: enumeration claimed foreign nodes")
-        chip_index = {id(c): i for i, c in enumerate(self.board.chips)}
-        sb = self.board.southbridge
-        return {
-            "steps_executed": self.ctx.steps_executed,
-            "stage_times": dict(self.report.stage_times),
-            "tcc_links_verified": self.report.tcc_links_verified,
-            "rom_shadow_addr": self.report.rom_shadow_addr,
-            "has_nc_sb": any(dev is sb for dev in self.report.nc_devices),
-            "enum_nodes": tuple(chip_index[id(c)] for c in enum.nodes),
-            "enum_edges": tuple(enum.tree_edges),
-            "sb_rx_packets": sb.rx_packets if sb is not None else None,
-        }
-
-    def restore_state(self, cap: dict) -> None:
-        """Adopt a captured completed-boot state (image restore).
-
-        Marks the whole stage sequence done (``boot()`` would raise if
-        called afterwards, exactly like re-booting a live board), exits
-        CAR mode, and rebuilds the report/enumeration against this
-        board's chips.  The chip registers themselves are restored
-        separately; :meth:`warm_rejoin` works unchanged afterwards."""
-        board = self.board
-        self.ctx.exit_car()
-        self.ctx.steps_executed = cap["steps_executed"]
-        self._stage = len(_STAGES)
-        rep = self.report
-        rep.stage_times = dict(cap["stage_times"])
-        rep.tcc_links_verified = cap["tcc_links_verified"]
-        rep.rom_shadow_addr = cap["rom_shadow_addr"]
-        rep.nc_devices = [board.southbridge] if cap["has_nc_sb"] else []
-        enum = rep.enumeration
-        enum.nodes = [board.chips[i] for i in cap["enum_nodes"]]
-        enum.tree_edges = list(cap["enum_edges"])
-        if cap["sb_rx_packets"] is not None:
-            board.southbridge.rx_packets = cap["sb_rx_packets"]
-
     def northbridge_init(self):
         """Program DRAM/MMIO base-limit pairs per the address plan."""
         self._enter("northbridge_init")

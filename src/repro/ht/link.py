@@ -189,10 +189,7 @@ class _Direction:
                 # (HT retains unacknowledged packets in the retry buffer),
                 # release everything, and park until retrain completes.
                 phy.release()
-                credits.give()
-                txq.unget(pkt)
-                stats.naks += 1
-                fault_counters(sim).link_naks += 1
+                self._nak(vc, pkt)
                 yield link.up_gate.wait()
                 continue
             dropped = False
@@ -230,10 +227,7 @@ class _Direction:
                 # Cut mid-serialization (or mid retry storm): the receiver
                 # never saw a complete packet, so NAK and retransmit after
                 # retrain rather than losing or half-delivering it.
-                credits.give()
-                txq.unget(pkt)
-                stats.naks += 1
-                fault_counters(sim).link_naks += 1
+                self._nak(vc, pkt)
                 yield link.up_gate.wait()
                 continue
             if dropped:
@@ -255,6 +249,22 @@ class _Direction:
                 link.tracer.emit(sim.now, link.name, "tx",
                                  (self.tx_side, vc.name, pkt.addr))
             sim._push(sim._now + link.propagation_ns, deliver, (pkt, vc))
+
+    def _nak(self, vc: VirtualChannel, pkt: Packet) -> None:
+        """Return ``pkt``'s credit and take it back from the wire.
+
+        It goes to the head of its TX queue for retransmission after
+        retrain -- unless the link is dead: a dead link never retrains,
+        so the packet goes back to the chip that sent it instead
+        (:meth:`Link.salvage`)."""
+        link = self.link
+        self.credits[vc].give()
+        if link.dead:
+            link.salvage(self.tx_side, pkt)
+        else:
+            self.txq[vc].unget(pkt)
+        self.stats.naks += 1
+        fault_counters(link.sim).link_naks += 1
 
     def _deliver(self, pkt: Packet, vc: VirtualChannel) -> None:
         link = self.link
@@ -437,6 +447,25 @@ class Link:
         self.state = LinkState.DOWN
         self.link_type = None
         self.up_gate.close()
+
+    def salvage(self, side: str, pkt: Packet) -> None:
+        """Hand a packet this dead link can no longer send from ``side``
+        back to the chip attached there.
+
+        A posted write re-enters the chip's posted queue, and the
+        dispatcher re-routes it through the current maps.  Anything else,
+        or a posted write that finds the queue full, is dropped with
+        accounting (the TCC data plane is writes-only; requesters of a
+        dropped read fail via ``LinkDownError``)."""
+        fc = fault_counters(self.sim)
+        nb = getattr(getattr(self, "attached", {}).get(side), "nb", None)
+        if (pkt.vc is VirtualChannel.POSTED and nb is not None
+                and nb.posted_q.try_put(pkt)):
+            fc.packets_salvaged += 1
+        else:
+            fc.packets_dropped += 1
+            if nb is not None:
+                nb._pool.recycle(pkt)
 
     def _fail_down(self) -> None:
         """Degrade to the next narrower width (or half the lane rate at

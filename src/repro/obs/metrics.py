@@ -49,8 +49,6 @@ __all__ = [
     "flow_counters",
     "CollectiveCounters",
     "collective_counters",
-    "BootImageCounters",
-    "boot_image_counters",
 ]
 
 
@@ -417,44 +415,6 @@ def collective_counters(sim) -> "CollectiveCounters":
         cc = CollectiveCounters()
         sim._collective_counters = cc
     return cc
-
-
-class BootImageCounters:
-    """Process-global boot-image counter family.
-
-    Unlike the per-simulator families above, boot images span simulators
-    (one image seeds many restored systems, possibly in pool workers), so
-    these counters live at process scope: ``built`` counts cold boots
-    captured into images, ``restored`` counts systems instantiated from
-    an image, and ``cache_hits`` counts :func:`repro.cluster.snapshot.
-    image_for` lookups satisfied without booting.  Counts are per
-    process, so a pool worker's are not visible to the parent: the DSE
-    harness reads deltas of them inside each point into
-    ``DsePoint.builds`` and ``DsePoint.restores``, and its CI smoke
-    asserts that the summed builds are zero and the summed restores at
-    least the number of points.
-    """
-
-    __slots__ = ("built", "restored", "cache_hits")
-
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        hot = {k: v for k, v in self.as_dict().items() if v}
-        return f"<BootImageCounters {hot or 'cold'}>"
-
-
-_BOOT_IMAGE_COUNTERS = BootImageCounters()
-
-
-def boot_image_counters() -> "BootImageCounters":
-    """The process-global boot-image counters (build/restore/cache-hit)."""
-    return _BOOT_IMAGE_COUNTERS
 
 
 def datapath_counters(sim, memories=()) -> Dict[str, int]:

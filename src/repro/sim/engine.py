@@ -672,58 +672,6 @@ class Simulator:
         self._push_count += 1
         _heappush(self._heap, (self._now + delay, self._seq, ev._dispatch, None))
 
-    # -- snapshot support --------------------------------------------------
-    def assert_quiescent(self) -> None:
-        """Assert the calendar is fully drained (the snapshot precondition).
-
-        Quiescent means: nothing is pending in the heap, no cancelled
-        sentinels are outstanding, and no run loop is active.  Every live
-        process is parked on an event wait (store/gate/credit waiters are
-        callbacks, not calendar entries), so resuming later is purely a
-        matter of new stimulus -- the state a :class:`repro.cluster`
-        boot image captures.
-        """
-        if self._running:
-            raise SimulationError("simulator is running (not quiescent)")
-        if self._heap:
-            raise SimulationError(
-                f"not quiescent: {len(self._heap)} calendar entries pending "
-                f"(next at t={self._heap[0][0]})"
-            )
-        if self._cancelled:
-            raise SimulationError(
-                f"not quiescent: {len(self._cancelled)} cancelled sentinels "
-                "outstanding"
-            )
-
-    def rebase_clock(self, now: float, seq: int, event_count: int,
-                     push_count: int) -> None:
-        """Adopt a captured clock/counter quadruple (boot-image restore).
-
-        Requires quiescence.  Downstream execution depends only on the
-        architectural state, the clock, and the *relative* order of
-        future seqs, so overwriting all four absolute counters with the
-        values captured at the same architectural state makes subsequent
-        virtual times and event counts bit-identical to the cold-boot
-        continuation.  ``seq`` must not move backwards past entries this
-        simulator already issued (seqs are never reused).
-        """
-        self.assert_quiescent()
-        if now < self._now:
-            raise SimulationError(
-                f"cannot rebase the clock backwards ({now} < {self._now})"
-            )
-        if seq < self._seq:
-            raise SimulationError(
-                f"cannot rebase seq backwards ({seq} < {self._seq}); "
-                "captured boot must have executed at least the entries a "
-                "fresh construction drains"
-            )
-        self._now = now
-        self._seq = seq
-        self._event_count = event_count
-        self._push_count = push_count
-
     # -- factories ---------------------------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a fresh pending :class:`Event`."""

@@ -24,13 +24,6 @@ bare ``BrokenProcessPool`` traceback.
 Job-count resolution (:func:`resolve_jobs`): an explicit ``--jobs``
 value wins; otherwise the ``TCC_PARALLEL`` environment variable;
 otherwise 1 (serial).  ``0`` or ``"auto"`` selects :func:`usable_cpus`.
-
-``run_sweep(worker_state=..., worker_init=...)`` runs
-``worker_init(worker_state)`` once per worker process (at pool spin-up,
-not per task), or once inline on the serial path.  The boot-image layer
-(:mod:`repro.cluster.snapshot`) uses it to seed each worker's image
-cache with the parent's pre-booted images, so a sweep boots each
-distinct signature once instead of once per point.
 """
 
 from __future__ import annotations
@@ -168,8 +161,6 @@ def run_sweep(
     jobs: Optional[Any] = None,
     timeout: Optional[float] = None,
     strict: bool = True,
-    worker_state: Any = None,
-    worker_init: Optional[Callable[[Any], None]] = None,
 ) -> SweepReport:
     """Execute ``points``, fanning out across ``jobs`` worker processes.
 
@@ -179,10 +170,6 @@ def run_sweep(
     on expiry the pending points are surfaced by key.  With ``strict``
     (default) any failed point raises :class:`SweepError` after all
     gathered results are attached to the exception.
-
-    ``worker_init(worker_state)`` (``worker_state`` picklable) runs once
-    in each worker process before any point, e.g. to seed a boot-image
-    cache; the serial path runs it once inline.
     """
     points = list(points)
     keys = [p.key for p in points]
@@ -193,12 +180,9 @@ def run_sweep(
 
     if njobs <= 1 or len(points) <= 1:
         njobs = 1
-        if worker_init is not None:
-            worker_init(worker_state)
         results = [_execute_point(p) for p in points]
     else:
-        results = _run_pool(points, njobs, timeout, worker_state,
-                            worker_init)
+        results = _run_pool(points, njobs, timeout)
     report = SweepReport(results, jobs=njobs)
     if strict and not report.ok:
         bad = [r for r in results if not r.ok]
@@ -211,17 +195,11 @@ def run_sweep(
 
 
 def _run_pool(points: List[SweepPoint], njobs: int,
-              timeout: Optional[float], worker_state: Any,
-              worker_init: Optional[Callable[[Any], None]]
-              ) -> List[PointResult]:
+              timeout: Optional[float]) -> List[PointResult]:
     """The process-pool branch of :func:`run_sweep`."""
     results_by_key: Dict[str, PointResult] = {}
     deadline = None if timeout is None else time.perf_counter() + timeout
-    with ProcessPoolExecutor(
-            max_workers=min(njobs, len(points)),
-            initializer=worker_init,
-            initargs=(worker_state,) if worker_init is not None else ()
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(njobs, len(points))) as pool:
         fut_to_point = {pool.submit(_execute_point, p): p for p in points}
         pending = set(fut_to_point)
         while pending:
@@ -241,7 +219,14 @@ def _run_pool(points: List[SweepPoint], njobs: int,
                         key=p.key, ok=False,
                         error=f"timed out after {timeout}s (sweep deadline)",
                     )
+                workers = list(pool._processes.values())
                 pool.shutdown(wait=False, cancel_futures=True)
+                # shutdown() cannot stop a point that is already running,
+                # and the interpreter would wait for its worker at exit.
+                for proc in workers:
+                    proc.terminate()
+                for proc in workers:
+                    proc.join()
                 partial = [results_by_key[p.key] for p in points
                            if p.key in results_by_key]
                 raise SweepError(
@@ -266,8 +251,7 @@ def _run_pool(points: List[SweepPoint], njobs: int,
 def sweep_values(points: Sequence[SweepPoint],
                  cost: Callable[[SweepPoint], Any],
                  jobs: Optional[Any] = None,
-                 timeout: Optional[float] = None,
-                 **sweep_kwargs: Any) -> List[Any]:
+                 timeout: Optional[float] = None) -> List[Any]:
     """The values of ``points``, in the order given.
 
     The points are *submitted* costliest first so long points do not
@@ -276,6 +260,6 @@ def sweep_values(points: Sequence[SweepPoint],
     """
     order = [p.key for p in points]
     report = run_sweep(sorted(points, key=cost, reverse=True), jobs=jobs,
-                       timeout=timeout, **sweep_kwargs)
+                       timeout=timeout)
     by_key = {r.key: r.value for r in report.results}
     return [by_key[k] for k in order]

@@ -62,29 +62,3 @@ def make_tcc_pair(timing=DEFAULT_TIMING, activate: bool = True, **link_kw) -> Tc
     chip0.start()
     chip1.start()
     return TccPair(sim, chip0, chip1, link)
-
-
-# ---------------------------------------------------------------------------
-# Session-cached boot images (opt-in; see tests/conftest.py fixtures).
-# Tests that exercise the boot protocol itself should keep cold-booting;
-# tests that only need *a booted system* can restore one of these images
-# -- bit-exact vs a cold boot, without re-simulating the boot protocol.
-# ---------------------------------------------------------------------------
-
-def cached_boot_image(kind: str = "proto2"):
-    """The shared boot image for a common test signature.
-
-    Backed by :func:`repro.cluster.snapshot.image_for`, so the first
-    call per process cold-boots and every later call is a cache hit.
-    """
-    from repro.cluster.snapshot import image_for
-    from repro.topology import chain, mesh2d
-
-    if kind == "proto2":
-        topo = chain(2, node=1, left_port=2, right_port=2)
-        return image_for(topo, nodes_per_supernode=2)
-    if kind == "mesh2x2":
-        return image_for(mesh2d(2, 2))
-    if kind == "mesh3x3":
-        return image_for(mesh2d(3, 3))
-    raise ValueError(f"unknown cached image kind {kind!r}")

@@ -101,6 +101,22 @@ def test_latency_anatomy_accounts_for_every_ns():
     assert 120 < a.total_ns < 260
 
 
+def test_dse_grid_small():
+    """The design-space sweep runs a tiny one-width grid end to end, and
+    refuses a width above the link capability before booting anything
+    (the default grid must stay within it)."""
+    from repro.bench.dse import DseConfig, run_dse
+
+    report = run_dse(DseConfig(link_width_bits=(16,), bw_size=4 * KiB,
+                               lat_iters=2), jobs=1)
+    assert len(report.points) == 1 and not report.violations
+    (p,) = report.points
+    assert p.bandwidth_mbps > 0 and p.latency_ns > 0
+    DseConfig().specs()
+    with pytest.raises(ValueError, match="16-bit link capability"):
+        DseConfig(link_width_bits=(32,)).specs()
+
+
 def test_reporting_table_alignment():
     txt = table(["a", "bb"], [(1, 2.5), (10, 33333.0)], title="T")
     lines = txt.splitlines()

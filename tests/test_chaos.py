@@ -392,9 +392,9 @@ def test_compound_fault_macro_flow_sweep(seed):
 
 #: Seeds of the random-plan oracle below whose run delivers a message
 #: with stale ring-slot payloads (zeros or an earlier lap's data) in
-#: both execution modes: an open model defect under link kills and
-#: crashes (ROADMAP), pinned here so a fix shows.
-_RANDOM_PLAN_CORRUPTS = (3, 7, 13, 32)
+#: both execution modes: an open model defect under crashes (ROADMAP),
+#: pinned here so a fix shows.
+_RANDOM_PLAN_CORRUPTS = (32,)
 
 
 @pytest.mark.slow

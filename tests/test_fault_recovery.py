@@ -295,6 +295,57 @@ def test_bring_down_during_training_window_recovers_with_next_retrain():
 
 
 # ---------------------------------------------------------------------------
+# Route-around salvage: a packet the pump holds when its link is killed.
+# ---------------------------------------------------------------------------
+
+def test_killed_link_nak_is_salvaged_per_packet():
+    """A per-packet +x halo on torus3d(4,4,4) with link 0 killed at
+    10 us.  The kill catches a posted write in the link's pump (on the
+    wire or waiting for a credit), and the pump NAKs it after the route
+    manager has salvaged the TX queues.  A dead link never retrains, so
+    that write must go back to its chip and be re-routed like the queued
+    ones, and every byte must land."""
+    import random
+
+    from repro.cluster import TCCluster
+    from repro.faults import FaultInjector, FaultKind, FaultPlan
+    from repro.topology import torus3d
+
+    cl = TCCluster(torus3d(4, 4, 4))
+    sim = cl.sim
+    sim.features.adaptive_fidelity = False
+    cl.boot()
+    FaultInjector(cl, FaultPlan().add(10_000.0, FaultKind.LINK_KILL, 0)).arm()
+    topo = cl.topology
+    rng = random.Random(7)
+    streams = []
+    for s in range(topo.num_supernodes):
+        x, y, z = topo.coords_of(s)
+        a = cl.rank_of(s)
+        b = cl.rank_of(topo.supernode_at(((x + 1) % 4, y, z)))
+        info = cl.ranks[a]
+        proc = cl.spawn_process(a)
+        base = cl.ranks[b].base + 32 * MiB
+        cl.kernels[info.supernode].driver_for(info.chip_index).mmap_remote(
+            proc.pagetable, base, 1 * MiB, tag="halo")
+        streams.append((proc, b, base, rng.randbytes(32 * 1024)))
+
+    def store(proc, base, data):
+        yield from proc.store(base, data)
+        yield from proc.sfence()
+
+    sim.run_until_event(sim.all_of(
+        [sim.process(store(p, base, d)) for p, _, base, d in streams]))
+    sim.run()
+    fc = fault_counters(sim)
+    assert fc.link_naks >= 1, "the kill caught no packet in a pump"
+    for _, b, base, d in streams:
+        info = cl.ranks[b]
+        assert info.chip.memory.read(base - info.base, len(d)) == d, (
+            f"halo into rank {b} lost bytes")
+
+
+# ---------------------------------------------------------------------------
 # Route-table pressure flood: MMIO interval overflow degrades to a fatal
 # route vector instead of raising out of the injector.
 # ---------------------------------------------------------------------------

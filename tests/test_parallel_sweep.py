@@ -6,6 +6,7 @@ do not depend on ``jobs``) and structured failure surfacing (exceptions,
 crashes, timeouts name the point).
 """
 
+import multiprocessing
 import os
 import time
 
@@ -150,6 +151,8 @@ def test_timeout_surfaced():
     pts = _points(square, [1]) + [SweepPoint(key="stuck", fn=slow, args=(0,))]
     with pytest.raises(SweepError, match="stuck"):
         run_sweep(pts, jobs=2, timeout=2.0)
+    # The stuck point's worker is stopped, not left sleeping until exit.
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
