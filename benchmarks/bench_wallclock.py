@@ -23,9 +23,9 @@ model's accuracy.  Three scenarios:
   deterministic event count of the adaptive run.
 * ``datapath_churn`` -- a 1 MiB aligned store pushed through the
   *per-packet* data plane (adaptive fidelity off): every cache line
-  becomes a real pooled packet.  Reports the zero-copy counters
-  (``bytes_copied``, ``packets_alloc``/``packets_pooled``) and asserts
-  the one-copy and O(1)-allocation invariants; gated on its
+  becomes a fresh flyweight packet.  Reports the zero-copy counters
+  (``bytes_copied``, ``packets_alloc``) and asserts that each byte is
+  copied once and each line builds one packet; gated on its
   deterministic event count.
 * ``read_chain``     -- 256 KiB of remote memory pulled as 4096
   sequential coherent cacheline reads (the read-heavy counterpart of the
@@ -218,17 +218,15 @@ def bench_datapath_churn():
     """One bulk transfer through the full per-packet data plane.
 
     Adaptive fidelity is disabled so every cache line of a 1 MiB aligned
-    store travels as an individual pooled packet through WC flush, SRQ,
-    link and destination commit -- the worst-case object-churn workload
-    the zero-copy overhaul targets.  Asserts the two data-plane
+    store travels as an individual flyweight packet through WC flush,
+    SRQ, link and destination commit -- the worst-case object-churn
+    workload of the zero-copy data plane.  Asserts the two data-plane
     invariants directly:
 
     * **one-copy**: destination ``bytes_copied`` grows by exactly the
       transfer size (each payload byte is copied once, at page commit);
-    * **O(1) allocation**: fresh ``Packet`` objects allocated during the
-      transfer are bounded by the flow-control window (the SRQ posted
-      buffer plus link queue depth), not by the transfer size -- the
-      peak in-flight population is allocated once and recirculated.
+    * **one packet per line**: ``packets_alloc`` grows by exactly the
+      number of cache lines (live packets stay bounded by flow control).
     """
     from repro.bench.microbench import _RawWindow
     from repro.obs.metrics import datapath_counters
@@ -267,16 +265,8 @@ def bench_datapath_churn():
         f"one-copy invariant broken: {delta['bytes_copied']} bytes copied "
         f"for a {size}-byte transfer"
     )
-    # Peak live packets = the flow-control window, independent of the
-    # transfer size; 64 covers the link tx queue and rx in-flight tail.
-    window = sys_.cluster.ranks[0].chip.nb.timing.posted_buffer_packets + 64
-    assert delta["packets_alloc"] <= window, (
-        f"packet churn not O(1): {delta['packets_alloc']} fresh allocations "
-        f"exceed the flow-control window {window} ({lines} packets sent)"
-    )
-    assert delta["packets_alloc"] + delta["packets_pooled"] == lines, (
-        "pool accounting lost packets: "
-        f"{delta['packets_alloc']}+{delta['packets_pooled']} != {lines}"
+    assert delta["packets_alloc"] == lines, (
+        f"{delta['packets_alloc']} packets built for {lines} cache lines"
     )
 
     from repro.obs.metrics import flow_counters
@@ -292,8 +282,6 @@ def bench_datapath_churn():
         "bytes_copied": delta["bytes_copied"],
         "copies_per_byte": round(delta["bytes_copied"] / size, 4),
         "packets_alloc": delta["packets_alloc"],
-        "packets_pooled": delta["packets_pooled"],
-        "packets_recycled": delta["packets_recycled"],
         # Macro-event telemetry: this scenario forces the per-packet
         # plane, so every counter here must stay zero.
         "train": _train_counters(cl, [0]),

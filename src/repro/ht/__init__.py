@@ -1,6 +1,5 @@
 """HyperTransport substrate: packets, links, flow control, link init."""
 
-from .aggregate import AggregatedLink
 from .link import Link, LinkDownError, LinkSide, LinkState, LinkStats
 from .linkinit import (
     BOOT_GBIT_PER_LANE,
@@ -31,7 +30,6 @@ from .tags import (
 
 __all__ = [
     "Link",
-    "AggregatedLink",
     "LinkSide",
     "LinkState",
     "LinkStats",

@@ -464,8 +464,6 @@ class Link:
             fc.packets_salvaged += 1
         else:
             fc.packets_dropped += 1
-            if nb is not None:
-                nb._pool.recycle(pkt)
 
     def _fail_down(self) -> None:
         """Degrade to the next narrower width (or half the lane rate at

@@ -34,8 +34,8 @@ __all__ = [
     "VirtualChannel",
     "Packet",
     "PacketError",
-    "PacketPool",
-    "pool_for",
+    "PacketFactory",
+    "factory_for",
     "make_posted_write",
     "make_nonposted_write",
     "make_read",
@@ -165,7 +165,7 @@ class Packet:
     """One HyperTransport packet.
 
     ``data`` is the dword-aligned payload (may be empty for reads and
-    responses-to-writes).  On the pooled posted-write fast path it may be a
+    responses-to-writes).  On the flyweight posted-write path it may be a
     read-only :class:`memoryview` span into the storing core's source
     buffer (the zero-copy data plane); every consumer treats it as
     immutable bytes-like.  ``coherent`` marks packets travelling inside a
@@ -177,8 +177,7 @@ class Packet:
     computed on first demand and cached in ``_wire`` / ``_crc``; the
     header/payload fields must therefore not be mutated after the first
     consumer has asked (the fabric only flips ``coherent``, which is not
-    part of the wire image).  :meth:`PacketPool.recycle` resets both
-    caches.
+    part of the wire image).
     """
 
     cmd: Command
@@ -194,12 +193,6 @@ class Packet:
     #: byte; None = all bytes valid, the sized-dword form).  Byte writes
     #: carry their enables in an extra doubleword pair on the wire.
     mask: Optional[bytes] = None
-    #: Set by the fabric for debugging/tracing; not part of the wire image.
-    src_node: Optional[int] = None
-    inject_time: float = field(default=0.0, compare=False)
-    #: Aggregation side-channel (see :mod:`repro.ht.aggregate`); declared
-    #: here because the class uses ``__slots__``.
-    _agg_tag: Optional[int] = field(default=None, compare=False)
     #: Cached wire image / CRC (lazy encode; see class docstring).
     _wire: Optional[bytes] = field(default=None, init=False, compare=False,
                                    repr=False)
@@ -210,10 +203,6 @@ class Packet:
     #: fields backing it are frozen by the lazy-wire invariant above.
     _wire_len: Optional[int] = field(default=None, init=False, compare=False,
                                      repr=False)
-    #: True while checked out of a :class:`PacketPool` (recycle() flips it
-    #: back, making double-recycle a no-op).
-    _pooled: bool = field(default=False, init=False, compare=False,
-                          repr=False)
 
     def __post_init__(self) -> None:
         if self.addr < 0 or self.addr >= (1 << 64):
@@ -326,7 +315,7 @@ class Packet:
                         bits |= 1 << i
                 body += struct.pack("<Q", bits)
         data = self.data
-        if type(data) is not bytes:  # memoryview span on the pooled path
+        if type(data) is not bytes:  # memoryview span on the flyweight path
             data = bytes(data)
         return body + data
 
@@ -532,55 +521,36 @@ def make_broadcast(addr: int, data: bytes = b"", unitid: int = 0) -> Packet:
 
 
 # ---------------------------------------------------------------------------
-# The posted-write packet pool (zero-copy data plane)
+# Posted-write flyweights (zero-copy data plane)
 # ---------------------------------------------------------------------------
 
-class PacketPool:
-    """Free-list of :class:`Packet` objects for the posted-write hot path.
+class PacketFactory:
+    """Builds one simulation's posted writes as flyweight packets.
 
-    A bulk transfer churns through one packet per cache line; going through
-    the dataclass constructor plus ``__post_init__`` validation per line
-    dominates the per-packet cost once the calendar itself is cheap.  The
-    pool hands out *flyweight* packets (``Packet.__new__`` + direct slot
-    assignment, skipping init entirely) and takes them back at the commit
-    point, so a transfer of any size keeps O(queue depth) live packets.
+    A bulk transfer builds one packet per cache line, and the dataclass
+    constructor plus ``__post_init__`` validation would dominate that
+    cost.  :meth:`posted_write` allocates with ``Packet.__new__`` and
+    assigns every slot directly instead.  A packet is never reused: it
+    drops at its commit point like any other object, and link flow
+    control bounds how many are live at once.
 
-    Invariants:
+    Validation on the flyweight path is the subset that protects memory
+    safety downstream (alignment, granularity, size, address width);
+    byte-masked writes take the fully validated constructor.
 
-    * a packet handed out by :meth:`posted_write` is marked ``_pooled``;
-      :meth:`recycle` on a foreign (constructor-built) packet is a no-op,
-      as is recycling the same packet twice;
-    * :meth:`recycle` scrubs every consumer-visible field (payload, mask,
-      lazy wire/CRC caches, tags) before the object re-enters the free
-      list -- reuse can never leak state between packets (tested by the
-      round-trip property test in ``tests/test_datapath_pool.py``);
-    * validation on the fast path is the subset that protects memory
-      safety downstream (alignment, granularity, size, address width);
-      the full ``__post_init__`` checks still guard every other
-      constructor.
-
-    Counters: ``allocated`` (fresh objects ever built), ``reused``
-    (checkouts served from the free list) and ``recycled`` (returns);
-    exported by :func:`repro.obs.metrics.datapath_counters` as the
-    ``packets_alloc`` / ``packets_pooled`` family.
+    ``built`` counts every packet made, exported by
+    :func:`repro.obs.metrics.datapath_counters` as ``packets_alloc``.
     """
 
-    __slots__ = ("_free", "allocated", "reused", "recycled")
-
-    #: Free-list cap: beyond this, recycled packets are dropped to the GC
-    #: (bounds pool memory after a burst; far above steady-state depth).
-    MAX_FREE = 256
+    __slots__ = ("built",)
 
     def __init__(self) -> None:
-        self._free: list = []
-        self.allocated = 0
-        self.reused = 0
-        self.recycled = 0
+        self.built = 0
 
     def posted_write(self, addr: int, data, unitid: int = 0,
                      coherent: bool = False,
                      mask: Optional[bytes] = None) -> Packet:
-        """Checkout a ``WRITE_POSTED`` packet; ``data`` may be bytes or a
+        """Build a ``WRITE_POSTED`` packet; ``data`` may be bytes or a
         read-only memoryview span (kept by reference -- the one-copy
         guarantee relies on the caller not mutating it before commit)."""
         if not data:
@@ -593,74 +563,35 @@ class PacketPool:
             )
         if addr < 0 or addr >= (1 << PHYS_ADDR_BITS):
             raise PacketError(f"address {addr:#x} out of range")
+        self.built += 1
         if mask is not None:
             # Byte-masked writes are the ragged-edge cold path: keep the
             # fully validated constructor (mask contents are checked there).
-            self.allocated += 1
             return make_posted_write(addr, bytes(data), unitid=unitid,
                                      coherent=coherent, mask=mask)
-        free = self._free
-        if free:
-            pkt = free.pop()
-            self.reused += 1
-        else:
-            # Flyweight: allocate without running dataclass init; the
-            # rarely-touched slots are set once here and scrubbed back to
-            # these defaults by recycle().
-            pkt = Packet.__new__(Packet)
-            self.allocated += 1
-            pkt.srctag = 0
-            pkt.seqid = 0
-            pkt.passpw = False
-            pkt.error = False
-            pkt.mask = None
-            pkt.src_node = None
-            pkt._agg_tag = None
-            pkt._read_count = 1
+        pkt = Packet.__new__(Packet)
         pkt.cmd = Command.WRITE_POSTED
         pkt.addr = addr
         pkt.data = data
         pkt.unitid = unitid
+        pkt.srctag = 0
+        pkt.seqid = 0
+        pkt.passpw = False
         pkt.coherent = coherent
-        pkt.inject_time = 0.0
+        pkt.error = False
+        pkt.mask = None
         pkt._wire = None
         pkt._crc = None
         pkt._wire_len = None
-        pkt._pooled = True
+        pkt._read_count = 1
         return pkt
 
-    def recycle(self, pkt: Packet) -> None:
-        """Return a packet at its commit point.  Safe to call on any
-        packet: foreign or already-recycled ones are ignored."""
-        if not pkt._pooled:
-            return
-        pkt._pooled = False
-        self.recycled += 1
-        free = self._free
-        if len(free) < self.MAX_FREE:
-            # Scrub all consumer-visible state so a later checkout can
-            # never observe this packet's payload, caches or tags.
-            pkt.addr = 0
-            pkt.data = b""
-            pkt.mask = None
-            pkt.src_node = None
-            pkt._agg_tag = None
-            pkt._wire = None
-            pkt._crc = None
-            pkt._wire_len = None
-            pkt.inject_time = 0.0
-            pkt.srctag = 0
-            pkt.seqid = 0
-            pkt.passpw = False
-            pkt.error = False
-            free.append(pkt)
 
-
-def pool_for(sim) -> PacketPool:
-    """The per-simulation packet pool (mirrors ``metrics_for``): created
-    on first use, attached to the simulator so its lifetime -- and the
-    ``packets_alloc``/``packets_pooled`` counters -- track one run."""
-    pool = sim._packet_pool
-    if pool is None:
-        pool = sim._packet_pool = PacketPool()
-    return pool
+def factory_for(sim) -> PacketFactory:
+    """The per-simulation packet factory (mirrors ``metrics_for``):
+    created on first use and attached to the simulator, so its
+    ``packets_alloc`` count tracks one run."""
+    factory = sim._packet_factory
+    if factory is None:
+        factory = sim._packet_factory = PacketFactory()
+    return factory

@@ -1,8 +1,7 @@
 """Middleware on top of the message library: mini-MPI and PGAS."""
 
-from .collectives import (CollectiveTuning, allreduce_crossover_bytes,
-                          bcast_crossover_bytes, chunk_bounds,
-                          ring_embedding, ring_hop_profile)
+from .collectives import (allreduce_crossover_bytes, bcast_crossover_bytes,
+                          chunk_bounds, ring_embedding, ring_hop_profile)
 from .mpi import ANY_TAG, Communicator, MpiError, REDUCE_OPS, Request
 from .pgas import DEFAULT_GAS_BYTES, DEFAULT_GAS_OFFSET, GasError, GasRuntime
 
@@ -12,7 +11,6 @@ __all__ = [
     "ANY_TAG",
     "MpiError",
     "REDUCE_OPS",
-    "CollectiveTuning",
     "allreduce_crossover_bytes",
     "bcast_crossover_bytes",
     "chunk_bounds",

@@ -33,8 +33,8 @@ fig7_latency.json``), beta the effective serialized cost per byte from
 
     m* = alpha · ((n-1) - lg n) / (beta · (lg n - (n-1)/n))
 
-(about 7.2 KiB at n=64 with the default timing).  Every threshold and
-algorithm is overridable per-Communicator via :class:`CollectiveTuning`.
+(about 7.2 KiB at n=64 with the default timing).  Each collective takes
+an ``algorithm=`` argument that forces one algorithm for that call.
 
 Deadlock notes.  Ring steps pair an ``isend`` with a blocking ``recv``
 so every rank is always draining its inbound ring while its outbound
@@ -78,7 +78,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +85,7 @@ import numpy as np
 from ..util.calibration import DEFAULT_TIMING, TimingModel
 
 __all__ = [
-    "CollectiveTuning",
+    "BCAST_SEGMENT_BYTES",
     "FIG7_ALPHA_NS",
     "allreduce_crossover_bytes",
     "bcast_crossover_bytes",
@@ -109,6 +108,10 @@ FIG7_ALPHA_NS = 234.45
 #: window and the pairwise exchange's concurrently posted receive is what
 #: keeps both directions streaming.
 ALLTOALL_CROSSOVER_BYTES = 2048
+
+#: Segment size of the pipelined broadcast (also the floor of its
+#: derived crossover, :func:`bcast_crossover_bytes`).
+BCAST_SEGMENT_BYTES = 8192
 
 _RS_TAG = (1 << 27)              # ring reduce-scatter steps
 _RING_AG_TAG = (1 << 27) + (1 << 20)   # ring allgather steps
@@ -183,24 +186,6 @@ def select_bcast(nbytes: int, nranks: int, crossover: int) -> str:
 
 def select_alltoall(block_bytes: int, crossover: int) -> str:
     return "linear" if block_bytes <= crossover else "pairwise"
-
-
-@dataclass
-class CollectiveTuning:
-    """Per-Communicator overrides for the size-adaptive selector.
-
-    ``*_algorithm`` forces one algorithm unconditionally; ``*_crossover_
-    bytes`` replaces the derived threshold while keeping the adaptive
-    dispatch.  ``None`` everywhere means fully derived behaviour.
-    """
-
-    allreduce_algorithm: Optional[str] = None   # binomial | ring | rabenseifner
-    allreduce_crossover_bytes: Optional[int] = None
-    bcast_algorithm: Optional[str] = None       # binomial | segmented
-    bcast_crossover_bytes: Optional[int] = None
-    bcast_segment_bytes: int = 8192
-    alltoall_algorithm: Optional[str] = None    # linear | pairwise
-    alltoall_crossover_bytes: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------

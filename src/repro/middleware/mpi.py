@@ -32,7 +32,7 @@ from ..obs.metrics import collective_counters
 from ..sim import Resource
 from .collectives import (
     ALLTOALL_CROSSOVER_BYTES,
-    CollectiveTuning,
+    BCAST_SEGMENT_BYTES,
     _binomial_tree,
     allreduce_crossover_bytes,
     allreduce_rabenseifner,
@@ -50,8 +50,7 @@ from .collectives import (
     select_bcast,
 )
 
-__all__ = ["Communicator", "Request", "ANY_TAG", "MpiError", "REDUCE_OPS",
-           "CollectiveTuning"]
+__all__ = ["Communicator", "Request", "ANY_TAG", "MpiError", "REDUCE_OPS"]
 
 ANY_TAG = -1
 
@@ -98,19 +97,17 @@ class Communicator:
     :meth:`for_cluster`) give the collectives their Hamiltonian ring
     embedding and single-hop guarantee; without them, ring collectives
     fall back to plain rank order and the size-adaptive selector prefers
-    Rabenseifner for bulk allreduce.  ``tuning`` overrides algorithm
-    choices and crossovers (:class:`~.collectives.CollectiveTuning`).
+    Rabenseifner for bulk allreduce.  Each collective's ``algorithm``
+    argument forces one algorithm for that call.
     """
 
     def __init__(self, lib: MessageLibrary, topology=None,
-                 rank_supernodes: Optional[Sequence[int]] = None,
-                 tuning: Optional[CollectiveTuning] = None):
+                 rank_supernodes: Optional[Sequence[int]] = None):
         self.lib = lib
         self.sim = lib.sim
         self.rank = lib.rank
         self.size = lib.nranks
         self.topology = topology
-        self.tuning = tuning if tuning is not None else CollectiveTuning()
         self._rank_supernodes = (list(rank_supernodes)
                                  if rank_supernodes is not None else None)
         #: Rank order of the embedded collective ring (identity off-grid).
@@ -140,13 +137,11 @@ class Communicator:
         self._rx_locks: Dict[int, Resource] = {}
 
     @classmethod
-    def for_cluster(cls, cluster, rank: int,
-                    tuning: Optional[CollectiveTuning] = None) -> "Communicator":
+    def for_cluster(cls, cluster, rank: int) -> "Communicator":
         """Communicator wired with the cluster's topology and rank map so
         ring collectives get the neighbor embedding."""
         return cls(cluster.library(rank), topology=cluster.topology,
-                   rank_supernodes=[ri.supernode for ri in cluster.ranks],
-                   tuning=tuning)
+                   rank_supernodes=[ri.supernode for ri in cluster.ranks])
 
     def _record_collective(self, op: str, algorithm: str, nbytes: int) -> None:
         """Count the op unless it runs as a constituent of another
@@ -245,10 +240,10 @@ class Communicator:
 
         Small messages ride the binomial tree (MPICH algorithm); large
         ones the segmented pipeline (same tree, streamed in
-        ``tuning.bcast_segment_bytes`` chunks).  The root picks the
-        algorithm -- by ``algorithm``, ``tuning``, or the derived
-        crossover -- and a one-byte wire prefix keeps every rank's
-        dispatch consistent without a separate control round.
+        ``BCAST_SEGMENT_BYTES`` chunks).  The root picks the algorithm
+        -- by ``algorithm`` or the derived crossover -- and a one-byte
+        wire prefix keeps every rank's dispatch consistent without a
+        separate control round.
         """
         n, me = self.size, self.rank
         if n == 1:
@@ -257,16 +252,12 @@ class Communicator:
             return data
         rel = (me - root) % n
         parent, children = _binomial_tree(n, rel, me)
-        seg = self.tuning.bcast_segment_bytes
+        seg = BCAST_SEGMENT_BYTES
         if me == root:
             if data is None:
                 raise MpiError("bcast root must supply data")
-            algo = algorithm or self.tuning.bcast_algorithm
-            if algo is None:
-                cross = self.tuning.bcast_crossover_bytes
-                if cross is None:
-                    cross = bcast_crossover_bytes(n, seg)
-                algo = select_bcast(len(data), n, cross)
+            algo = algorithm or select_bcast(
+                len(data), n, bcast_crossover_bytes(n, seg))
             if algo not in ("binomial", "segmented"):
                 raise MpiError(f"unknown bcast algorithm {algo!r}")
             self._record_collective("bcast", algo, len(data))
@@ -342,12 +333,8 @@ class Communicator:
         n, me = self.size, self.rank
         if len(blocks) != n:
             raise MpiError("alltoall needs one block per rank")
-        algo = algorithm or self.tuning.alltoall_algorithm
-        if algo is None:
-            cross = self.tuning.alltoall_crossover_bytes
-            if cross is None:
-                cross = ALLTOALL_CROSSOVER_BYTES
-            algo = select_alltoall(max(len(b) for b in blocks), cross)
+        algo = algorithm or select_alltoall(max(len(b) for b in blocks),
+                                            ALLTOALL_CROSSOVER_BYTES)
         if algo not in ("linear", "pairwise"):
             raise MpiError(f"unknown alltoall algorithm {algo!r}")
         self._record_collective("alltoall", algo,
@@ -425,7 +412,7 @@ class Communicator:
         """Size-adaptive allreduce.
 
         Below the crossover (derived from the calibrated alpha/beta
-        model, override via ``tuning``): binomial reduce-to-0 plus
+        model, override via ``algorithm``): binomial reduce-to-0 plus
         broadcast.  Above it: ring allreduce on the embedded neighbor
         ring when the embedding is single-hop, else Rabenseifner --
         both move ``2m(n-1)/n`` bytes per rank, the bandwidth optimum.
@@ -434,13 +421,9 @@ class Communicator:
         if fn is None:
             raise MpiError(f"unknown reduce op {op!r}")
         arr = np.ascontiguousarray(array)
-        algo = algorithm or self.tuning.allreduce_algorithm
-        if algo is None:
-            cross = self.tuning.allreduce_crossover_bytes
-            if cross is None:
-                cross = allreduce_crossover_bytes(self.size)
-            algo = select_allreduce(arr.nbytes, self.size, cross,
-                                    self.ring_single_hop)
+        algo = algorithm or select_allreduce(
+            arr.nbytes, self.size, allreduce_crossover_bytes(self.size),
+            self.ring_single_hop)
         if algo not in ("binomial", "ring", "rabenseifner"):
             raise MpiError(f"unknown allreduce algorithm {algo!r}")
         top = not self._in_collective

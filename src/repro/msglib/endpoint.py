@@ -816,24 +816,34 @@ class Endpoint:
                         deadline: Optional[float] = None):
         k = slots_needed(length)
         last_seq = self.recv_seq + k
-        # In-order posted delivery: once the last slot shows up, the whole
-        # span is in memory; sync on it, then bulk-read the middle.
+        # HT keeps posted writes in order along one path, so once the last
+        # slot shows up the middle is normally in memory: sync on it, then
+        # bulk-read the middle.  A reroute or a crash can break that order,
+        # so every middle slot's seq is checked in the bulk read; from the
+        # first stale slot on, poll until the late or retransmitted packet
+        # fills it, then bulk-read the rest again.  Middle slots are full.
         yield from self._poll_slot(last_seq, deadline)
-        spans = self._ring_spans(self.recv_seq + 2, last_seq - 1)
-        middle_raw = b""
-        for (addr, nbytes) in spans:
-            chunk = yield from self._bulk_read(addr, nbytes)
-            middle_raw += chunk
         data = bytearray(unpack_payload(first_raw, min(length, SLOT_PAYLOAD)))
-        got = len(data)
-        for i in range(0, len(middle_raw), SLOT_BYTES):
-            take = min(SLOT_PAYLOAD, length - got)
-            data += unpack_payload(middle_raw[i : i + SLOT_BYTES], take)
-            got += take
-        if got < length:
+        seq = self.recv_seq + 2
+        while seq < last_seq:
+            raw = b""
+            for (addr, nbytes) in self._ring_spans(seq, last_seq - 1):
+                chunk = yield from self._bulk_read(addr, nbytes)
+                raw += chunk
+            for i in range(0, len(raw), SLOT_BYTES):
+                if unpack_header(raw, i)[0] != seq:
+                    break
+                data += unpack_payload(raw, SLOT_PAYLOAD, i)
+                seq += 1
+            else:
+                break
+            slot = yield from self._poll_slot(seq, deadline)
+            data += unpack_payload(slot, SLOT_PAYLOAD)
+            seq += 1
+        if len(data) < length:
             last_raw = yield from self.proc.load(self._slot_rx_addr(last_seq),
                                                  SLOT_BYTES)
-            data += unpack_payload(last_raw, length - got)
+            data += unpack_payload(last_raw, length - len(data))
         self.recv_seq += k
         if len(data) != length:
             raise MessageError(f"reassembled {len(data)} of {length} bytes")

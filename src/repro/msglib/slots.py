@@ -2,9 +2,11 @@
 
 One slot is one cache line and therefore one HT posted write, which makes
 it *atomic* at the receiver: when the sequence number is visible, the
-whole slot is.  Multi-slot messages rely on per-VC in-order delivery: the
-receiver syncs on the last slot's sequence number and may then bulk-read
-the span.
+whole slot is.  Multi-slot messages lean on per-VC in-order delivery,
+which holds along one path only: the receiver syncs on the last slot's
+sequence number, bulk-reads the span and checks every slot's sequence
+number there, because a reroute or a crash can leave a middle slot
+stale.
 
 Layout (little endian):
 
@@ -66,15 +68,16 @@ def pack_slot(seq: int, length: int, payload: bytes) -> bytes:
     return _HDR.pack(seq, length) + payload.ljust(SLOT_PAYLOAD, b"\x00")
 
 
-def unpack_header(raw: bytes) -> Tuple[int, int]:
-    """(seq, len) from the first 8 bytes of a slot."""
-    return _HDR.unpack_from(raw, 0)
+def unpack_header(raw: bytes, offset: int = 0) -> Tuple[int, int]:
+    """(seq, len) from the first 8 bytes of the slot at ``offset``."""
+    return _HDR.unpack_from(raw, offset)
 
 
-def unpack_payload(raw: bytes, nbytes: int) -> bytes:
+def unpack_payload(raw: bytes, nbytes: int, offset: int = 0) -> bytes:
     if nbytes > SLOT_PAYLOAD:
         raise ValueError("slot payload overrun")
-    return raw[SLOT_HEADER : SLOT_HEADER + nbytes]
+    start = offset + SLOT_HEADER
+    return raw[start : start + nbytes]
 
 
 def pack_rendezvous_control(seq: int, heap_offset: int, length: int,

@@ -420,18 +420,18 @@ def collective_counters(sim) -> "CollectiveCounters":
 def datapath_counters(sim, memories=()) -> Dict[str, int]:
     """Zero-copy data-plane counter family (always-on, registry-free).
 
-    ``packets_alloc``/``packets_pooled``/``packets_recycled`` come from
-    the simulator's :class:`~repro.ht.packet.PacketPool` (zeros before
-    the first posted write); ``bytes_copied`` sums the page-commit copy
+    ``packets_alloc`` counts the posted writes the simulator's
+    :class:`~repro.ht.packet.PacketFactory` built (zero before the first
+    posted write); ``packets_pooled`` is always 0, kept for readers that
+    predate the factory.  ``bytes_copied`` sums the page-commit copy
     accounting of the given :class:`~repro.opteron.memory.Memory`
     objects.  These are *not* part of the golden distilled metrics --
     they describe the simulator's execution cost, not the model -- and
     are published by ``benchmarks/bench_wallclock.py``.
     """
-    pool = getattr(sim, "_packet_pool", None)
+    factory = sim._packet_factory
     return {
-        "packets_alloc": pool.allocated if pool is not None else 0,
-        "packets_pooled": pool.reused if pool is not None else 0,
-        "packets_recycled": pool.recycled if pool is not None else 0,
+        "packets_alloc": factory.built if factory is not None else 0,
+        "packets_pooled": 0,
         "bytes_copied": sum(m.bytes_copied for m in memories),
     }

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..ht.link import Link, LinkDownError, LinkState
-from ..ht.packet import Command, Packet, make_read, make_read_response, make_target_done, pool_for
+from ..ht.packet import Command, Packet, factory_for, make_read, make_read_response, make_target_done
 from ..ht.tags import ResponseMatchingTable, UnroutableResponseError
 from ..obs.metrics import fault_counters, flow_counters, metrics_for
 from ..sim import AnyOf, Counter, Event, Simulator, Store
@@ -157,8 +157,8 @@ class Northbridge:
         #: firmware boot rewrites the maps dozens of times before the
         #: first packet ever consults them.
         self._maps_dirty = False
-        #: Flyweight posted-write packets (shared per simulation).
-        self._pool = pool_for(sim)
+        #: Builds the flyweight posted-write packets (one per simulation).
+        self._packets = factory_for(sim)
         self._depth_series = f"{self.name}.posted_q_depth"
         self._cpu_read_name = f"{self.name}.cpu_read"
         self.regs.add_write_hook(self._on_reg_write)
@@ -350,9 +350,8 @@ class Northbridge:
             # A foreign submit invalidates the train's schedule: demote to
             # per-packet state before this packet touches the queue.
             self._macro.demote(self.sim._now)
-        pkt = self._pool.posted_write(addr, data, unitid=self.nodeid,
-                                      coherent=True, mask=mask)
-        pkt.inject_time = self.sim._now
+        pkt = self._packets.posted_write(addr, data, unitid=self.nodeid,
+                                         coherent=True, mask=mask)
         if self.posted_q.try_put(pkt):
             return None
         return self.posted_q.put(pkt)
@@ -571,7 +570,6 @@ class Northbridge:
             if remaining <= 0:
                 self.counters.inc("fault_drops")
                 fc.packets_dropped += 1
-                self._pool.recycle(pkt)
                 return
             if binding is not None:
                 # Wake on retrain or when patience runs out.
@@ -610,11 +608,7 @@ class Northbridge:
         semantics already completed their stores.  Returns the number of
         packets discarded."""
         n = 0
-        while True:
-            ok, pkt = self.posted_q.try_get()
-            if not ok:
-                break
-            self._pool.recycle(pkt)
+        while self.posted_q.try_get()[0]:
             n += 1
         return n
 
@@ -645,7 +639,6 @@ class Northbridge:
         route = self.route
         counters_inc = self.counters.inc
         memctrl = self.chip.memctrl
-        pool_recycle = self._pool.recycle
         while True:
             ok, pkt = posted_q.try_get()
             if not ok:
@@ -664,9 +657,6 @@ class Northbridge:
                     continue
                 memctrl.write_posted(self._local_offset(pkt.addr),
                                      pkt.data, pkt.mask)
-                # Commit point: the calendar entry holds the payload span
-                # itself, so the packet shell can be reused immediately.
-                pool_recycle(pkt)
                 counters_inc("local_writes")
             elif r.kind is RouteKind.MMIO_LOCAL_LINK:
                 # The TCCluster transmit path: an MMIO window homed at this
@@ -722,7 +712,6 @@ class Northbridge:
         route = self.route
         counters_inc = self.counters.inc
         memctrl = self.chip.memctrl
-        pool_recycle = self._pool.recycle
         local_offset = self._local_offset
         while True:
             # Fast path: a packet already waiting is consumed inline (the
@@ -756,7 +745,6 @@ class Northbridge:
                     # the _local_access generator frame is worth it.
                     memctrl.write_posted(local_offset(pkt.addr),
                                          pkt.data, pkt.mask)
-                    pool_recycle(pkt)
                     counters_inc("rx_writes")
                 else:
                     yield from self._local_access(pkt, port)
@@ -822,9 +810,6 @@ class Northbridge:
             offset = self._local_offset(pkt.addr)
         if pkt.is_write and pkt.cmd.is_posted:
             self.chip.memctrl.write_posted(offset, pkt.data, pkt.mask)
-            # Destination commit point of the TCCluster data plane: hand
-            # the packet shell back (no-op for constructor-built packets).
-            self._pool.recycle(pkt)
             self.counters.inc("rx_writes")
             return
         if pkt.is_write:

@@ -283,8 +283,6 @@ def plan_train(core: "CpuCore", addr: int, data: bytes) -> Optional["BulkTrain"]
     if binding is None:
         return None
     link = binding.link
-    if getattr(link, "_dirs", None) is None:  # striped/aggregated wrapper
-        return None
     d = link._dirs[binding.side]
     if not MacroWindow.quiescent(d):
         return None
@@ -495,9 +493,6 @@ class BulkTrain(MacroWindow):
         self.wake = Event(sim, name=f"{self.nb.name}.train")
         self.nb.counters.inc("train_windows")
         self.nb.counters.inc("train_lines", self.K)
-        if self.metrics_on:
-            self.nb._m.inc("train.windows")
-            self.nb._m.inc("train.lines", self.K)
         # The whole destination commit schedule becomes one arithmetic
         # span on the controller instead of two calendar entries per line
         # (see repro.sim.flows.CommitSpan): line i reaches the receiver's
@@ -529,12 +524,10 @@ class BulkTrain(MacroWindow):
     # Demotion
     # ------------------------------------------------------------------
     def _make_pkt(self, i: int, coherent: bool):
-        pkt = self.nb._pool.posted_write(
+        return self.nb._packets.posted_write(
             self.addr + i * CACHELINE,
             self._mv[i * CACHELINE:(i + 1) * CACHELINE],
             unitid=self.nb.nodeid, coherent=coherent)
-        pkt.inject_time = self.fill_done[i]
-        return pkt
 
     def _demote(self, T: float) -> None:
         """Reconstruct the exact per-packet state at virtual time ``T``
@@ -543,8 +536,6 @@ class BulkTrain(MacroWindow):
         """
         self.aborted = True
         self.nb.counters.inc("train_demotions")
-        if self.metrics_on:
-            self.nb._m.inc("train.demotions")
         sim = self.sim
         accept, fill_done, pop, putc, ss = (self.accept, self.fill_done,
                                             self.pop, self.putc, self.ss)

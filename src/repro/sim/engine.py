@@ -592,11 +592,10 @@ class Simulator:
         self._push_count: int = 0
         self._running = False
         self.features = SimFeatures()
-        #: Lazily attached per-simulation object pools (data-plane flyweight
-        #: packets; see :func:`repro.ht.packet.pool_for`).  Owned here so a
-        #: pool's lifetime is exactly the simulation's lifetime: a fresh
-        #: simulator can never see recycled objects from a previous run.
-        self._packet_pool = None
+        #: Lazily attached packet factory (data-plane flyweight packets;
+        #: see :func:`repro.ht.packet.factory_for`).  Owned here so its
+        #: packet count covers exactly one simulation.
+        self._packet_factory = None
         #: Memory controllers holding arithmetic commit spans
         #: (:class:`repro.sim.flows.CommitSpan`), insertion-ordered.  Every
         #: return from :meth:`run` / :meth:`run_until_event` flushes their

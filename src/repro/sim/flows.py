@@ -592,7 +592,7 @@ class ReadFlow(MacroWindow):
         response provably routes straight back over the same link;
         otherwise return None (per-packet path)."""
         binding = nb.chip.ports.get(port)
-        if binding is None or nb._m.enabled:
+        if binding is None:
             return None
         link = binding.link
         req_d = link._dirs[binding.side]
@@ -604,8 +604,7 @@ class ReadFlow(MacroWindow):
         if dest_chip is None:
             return None
         dest_nb = dest_chip.nb
-        if (not dest_nb._started or dest_nb._m.enabled
-                or pkt.unitid == dest_nb.nodeid
+        if (not dest_nb._started or pkt.unitid == dest_nb.nodeid
                 or dest_chip.memctrl.tracer.enabled):
             return None
         resp_port = dest_nb._dram_read_port(addr, length, pkt.unitid)

@@ -117,6 +117,24 @@ def test_dse_grid_small():
         DseConfig(link_width_bits=(32,)).specs()
 
 
+def test_dse_recovery_stall_times_the_last_commit():
+    """The recovery axis times each stream to the commit of its last
+    line and flaps the first TCC link of the measured route.  A 3 us
+    flap on proto2 then costs the same stall whatever the stream size
+    (the northbridge's link-down timeout, still queued after the
+    retrain, no longer ends the stream), and on mesh2d(2,2), whose
+    route does not cross link 0, the flap still stalls the stream."""
+    from repro.bench.dse import dse_point
+
+    stalls = [dse_point("proto2", 16, 1.6, 8, 4 * KiB, bw_size=size,
+                        lat_iters=2).recovery_stall_ns
+              for size in (32 * KiB, 64 * KiB)]
+    assert stalls == [3496.4, 3496.4]
+    mesh = dse_point("mesh2d(2,2)", 16, 1.6, 8, 4 * KiB, bw_size=32 * KiB,
+                     lat_iters=2)
+    assert mesh.recovery_stall_ns == 3501.8
+
+
 def test_reporting_table_alignment():
     txt = table(["a", "bb"], [(1, 2.5), (10, 33333.0)], title="T")
     lines = txt.splitlines()

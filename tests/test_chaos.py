@@ -79,8 +79,8 @@ def run_chaos(topo_factory, plan: FaultPlan,
     macro-event plane (trains, commit spans, slot spans, read flows)
     before boot, so the same seeded plan can be replayed against either
     execution mode."""
-    cfg = MsgConfig(send_deadline_ns=5e6, recv_deadline_ns=2e7,
-                    retransmit_base_ns=100_000.0, **(cfg_extra or {}))
+    cfg = MsgConfig(**{"send_deadline_ns": 5e6, "recv_deadline_ns": 2e7,
+                       "retransmit_base_ns": 100_000.0, **(cfg_extra or {})})
     cl = TCCluster(topo_factory(), msg_cfg=cfg, memory_bytes=64 * MiB)
     cl.sim.features.adaptive_fidelity = fidelity
     cl.boot()
@@ -391,10 +391,9 @@ def test_compound_fault_macro_flow_sweep(seed):
 
 
 #: Seeds of the random-plan oracle below whose run delivers a message
-#: with stale ring-slot payloads (zeros or an earlier lap's data) in
-#: both execution modes: an open model defect under crashes (ROADMAP),
-#: pinned here so a fix shows.
-_RANDOM_PLAN_CORRUPTS = (32,)
+#: with stale ring-slot payloads; empty since the receiver checks every
+#: middle slot's sequence number.
+_RANDOM_PLAN_CORRUPTS = ()
 
 
 @pytest.mark.slow
@@ -418,6 +417,30 @@ def test_random_plan_slot_span_oracle(seed):
             check_oracles(fast, n_msgs=BULK_MSGS, msg_bytes=BULK_BYTES)
     else:
         check_oracles(fast, n_msgs=BULK_MSGS, msg_bytes=BULK_BYTES)
+
+
+def test_crash_lost_middle_slots_are_never_delivered():
+    """Random-plan seed 32, written out: the sender's crash discards
+    eight middle slots of a 64-slot message whose first and last slots
+    have landed.  The receiver must see the stale middle slots and wait
+    for them instead of delivering stale data.  The crash also lost the
+    sender's retransmit images, so the message fails on both sides
+    (short deadlines keep the wait cheap)."""
+    plan = (FaultPlan()
+            .add(3_703.3, FaultKind.CREDIT_STALL, 0, duration_ns=3_728.2)
+            .add(4_205.2, FaultKind.BER_STORM, 0, duration_ns=28_526.0,
+                 magnitude=0.00775)
+            .add(21_804.7, FaultKind.NODE_CRASH, 0)
+            .add(85_019.1, FaultKind.NODE_WARM_RESET, 0))
+    cfg = dict(_BULK_CFG, send_deadline_ns=4e5, recv_deadline_ns=4e5)
+    fast, slow = (run_chaos(lambda: chain(2), plan, n_msgs=BULK_MSGS,
+                            msg_bytes=BULK_BYTES, fidelity=f,
+                            cfg_extra=cfg) for f in (True, False))
+    assert fast.fingerprint() == slow.fingerprint()
+    assert fast.faults["crash_packets_discarded"] == 8
+    check_oracles(fast, n_msgs=BULK_MSGS, msg_bytes=BULK_BYTES)
+    assert len(fast.delivered) == 8
+    assert fast.tx_error is not None and fast.rx_error is not None
 
 
 # ---------------------------------------------------------------------------

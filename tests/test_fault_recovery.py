@@ -1,6 +1,5 @@
 """Link-layer recovery mechanics: down/retrain transitions, NAKs of
-packets cut mid-serialization, fail-down, and the pooled-packet NAK
-hazard.
+packets cut mid-serialization, and fail-down.
 
 Satellite regression coverage for the fault-injection PR: the chaos
 harness (``test_chaos.py``) exercises recovery end to end; these tests
@@ -20,7 +19,6 @@ from repro.ht import (
     make_posted_write,
 )
 from repro.cluster import build_single_board_prototype
-from repro.ht.packet import pool_for
 from repro.obs.metrics import fault_counters
 from repro.sim import Simulator
 from repro.util.units import MiB
@@ -107,43 +105,6 @@ def test_bring_down_mid_serialization_naks_and_redelivers():
     assert d.credits[VirtualChannel.POSTED].credits == link.credits_per_vc
     assert d.stats.packets == n, "NAK'd packets must not be double-counted"
     assert fault_counters(sim).link_naks >= 1
-
-
-def test_pooled_packets_survive_nak_without_recycle_hazard():
-    """A pooled packet NAK'd after ``bring_down`` must NOT have been
-    recycled -- a recycled-and-reused flyweight re-sent from the txq
-    would deliver another packet's payload.  The pump NAKs a packet cut
-    mid-serialization before pushing its delivery, so the consume
-    callback (the only recycler) never sees it and the image stays
-    intact."""
-    sim = Simulator()
-    link, fsm = fsm_link(sim)
-    pool = pool_for(sim)
-    n = 8
-    pkts = [pool.posted_write(0x3000 + 64 * i, bytes([0x40 + i] * 24))
-            for i in range(n)]
-    base_recycled = pool.recycled
-    got = []
-
-    def rx():
-        while len(got) < n:
-            p = yield link.receive(LinkSide.B)
-            got.append((p.addr, bytes(p.data)))
-            pool.recycle(p)  # the consumer owns the packet now
-
-    def tx():
-        for p in pkts:
-            yield link.send(LinkSide.A, p)
-
-    sim.process(rx())
-    sim.process(tx())
-    sim.schedule(20.0, link.bring_down)
-    sim.schedule(300.0, fsm.retrain, "warm")
-    sim.run(until=1_000_000.0)
-    assert [(0x3000 + 64 * i, bytes([0x40 + i] * 24)) for i in range(n)] == got
-    # Every pooled packet was recycled exactly once -- by the consumer,
-    # never early for a NAK'd transmission.
-    assert pool.recycled == base_recycled + n
 
 
 # ---------------------------------------------------------------------------

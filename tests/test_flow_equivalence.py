@@ -31,7 +31,7 @@ from repro.cluster import build_single_board_prototype
 from repro.core import TCClusterSystem
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.msglib import MsgConfig
-from repro.obs.metrics import flow_counters
+from repro.obs.metrics import enable_metrics, flow_counters
 from repro.util.units import KiB, MiB
 
 MSG_BYTES = 7168          # 128 slots of 56-byte payload
@@ -354,6 +354,46 @@ def test_default_features_promote_read_flow():
     fl = flow_counters(sim)
     assert got["data"] == payload
     assert (fl.read_windows, fl.read_reads, fl.read_demotions) == (1, 256, 0)
+
+
+def _metered_read_chain(fast):
+    """A 64 KiB read chain on the single-board prototype with metrics
+    enabled before boot."""
+    proto = build_single_board_prototype()
+    sim = proto.sim
+    sim.features.adaptive_fidelity = fast
+    reg = enable_metrics(sim)
+    proto.boot()
+    payload = random.Random(0xBEAD).randbytes(64 * KiB)
+    proto.node1.memory.write(0x40000, payload)
+    got = {}
+
+    def reader():
+        got["data"] = yield from proto.node0.cores[0].load(
+            M256 + 0x40000, len(payload))
+
+    e0 = sim.event_count
+    sim.run_until_event(sim.process(reader()))
+    sim.run()
+    fl = flow_counters(sim)
+    return dict(t_end=sim.now, payload_ok=got["data"] == payload,
+                snapshot=reg.snapshot(sim.now),
+                links=proto.coherent_link.metrics(sim.now),
+                events=sim.event_count - e0,
+                reads=(fl.read_windows, fl.read_reads, fl.read_demotions))
+
+
+def test_metrics_keep_read_flow():
+    """Nothing on the read path records into the metrics registry, so
+    enabling metrics leaves ReadFlow on, and the metered run observes
+    what the per-packet run does."""
+    slow = _metered_read_chain(fast=False)
+    fast = _metered_read_chain(fast=True)
+    assert slow["payload_ok"] and fast["payload_ok"]
+    assert fast["reads"] == (1, 1024, 0)
+    for key in ("t_end", "snapshot", "links"):
+        assert slow[key] == fast[key], f"{key} diverged"
+    assert fast["events"] < slow["events"] * 0.6
 
 
 @pytest.mark.parametrize("seed", [5, 23, 91])

@@ -378,7 +378,6 @@ def test_gas_get_requires_dispatcher():
 # Collective algorithms (topology-aware, size-adaptive)
 # ---------------------------------------------------------------------------
 
-from repro.middleware import CollectiveTuning  # noqa: E402
 from repro.middleware.collectives import (  # noqa: E402
     ALLTOALL_CROSSOVER_BYTES,
     allreduce_crossover_bytes,
@@ -623,10 +622,10 @@ def test_allreduce_fidelity_fingerprint_identical():
 
 def test_tuning_overrides_selection():
     sys_ = TCClusterSystem(torus2d(4, 4)).boot()
-    tuning = CollectiveTuning(allreduce_algorithm="rabenseifner")
-    cs = [Communicator.for_cluster(sys_.cluster, r, tuning=tuning)
+    cs = [Communicator.for_cluster(sys_.cluster, r)
           for r in range(sys_.nranks)]
     cc = collective_counters(sys_.sim)
     inputs = _inputs(sys_.nranks, 8, seed=5)  # tiny: adaptive would say binomial
-    run_all(sys_, [cs[r].allreduce(inputs[r]) for r in range(sys_.nranks)])
+    run_all(sys_, [cs[r].allreduce(inputs[r], algorithm="rabenseifner")
+                   for r in range(sys_.nranks)])
     assert cc.algorithms.get("allreduce.rabenseifner", 0) == sys_.nranks

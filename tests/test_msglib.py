@@ -160,6 +160,37 @@ def test_multislot_eager_roundtrip(pair):
     assert got == msg
 
 
+def test_stale_middle_slot_waits_for_the_late_packet():
+    """Posted order holds along one path only: after a reroute or a
+    crash, a middle slot can land after the message's last slot.  The
+    receiver polls for it instead of reading it stale, then bulk-reads
+    the rest, and the message arrives intact once the late slot
+    commits."""
+    system = TCClusterSystem.two_board_prototype().boot()
+    cl = system.cluster
+    _, rx = system.connect(cl.rank_of(0, 1), cl.rank_of(1, 1))
+    sim = system.sim
+    chip = rx.proc.core.chip
+    msg = bytes(range(256)) * 3  # 14 slots
+    late = 3
+
+    def land(i):
+        seq = rx.recv_seq + 1 + i
+        slot = pack_slot(seq, len(msg) - i * SLOT_PAYLOAD,
+                         msg[i * SLOT_PAYLOAD:(i + 1) * SLOT_PAYLOAD])
+        chip.memctrl.write_posted(
+            chip.nb._local_offset(rx._slot_rx_addr(seq)), slot)
+
+    for i in range(slots_needed(len(msg))):
+        if i != late:
+            land(i)
+    t_late = sim.now + 5_000.0
+    sim.schedule(5_000.0, land, late)
+    (got,) = run(system, rx.recv())
+    assert got == msg
+    assert sim.now > t_late
+
+
 def test_rendezvous_roundtrip(pair):
     system, tx, rx = pair
     msg = bytes(i % 251 for i in range(100_000))

@@ -286,7 +286,7 @@ def _scalar_check(demote):
             rebuilt = (list(d.txq[VirtualChannel.POSTED]._items)
                        + list(nb.posted_q._items))
             assert rebuilt, "demotion rebuilt no packet"
-            assert all(type(p.inject_time) is float for p in rebuilt)
+            assert all(type(p.addr) is int for p in rebuilt)
         _assert_python_numbers(sim, chips, dirs, spans)
 
     t0 = sim.now
