@@ -8,9 +8,9 @@ gets (the writes-only fabric cannot load remotely), and software barriers
 for global synchronization.
 
 Each rank owns a shard of a global counter table living in the symmetric
-segment.  Ranks hash local tokens, push per-owner count deltas with
-put_notify, the owners fold them in, and finally every rank reads the
-global table with get().
+segment.  Ranks hash local tokens and put() per-owner count deltas into
+the owners' inboxes, a fence and a barrier publish them, the owners fold
+them in, and finally every rank reads the global table with get().
 
 Run:  python examples/pgas_wordcount.py
 """

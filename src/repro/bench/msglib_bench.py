@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cluster import TCCluster
 from ..core import TCClusterSystem
 from ..msglib import MsgConfig, SLOT_BYTES, SLOT_PAYLOAD
+from ..msglib.config import REGION_OFFSET
 from ..topology import chain
 from ..util.calibration import TimingModel, DEFAULT_TIMING
 from ..util.units import KiB, MiB, bandwidth_mbps
@@ -127,7 +128,7 @@ def endpoint_footprint_table(
         heap_off, heap_sz = lo.heap_region()
         out.append(
             EndpointFootprint(n, ring_sz, fb_sz, heap_sz,
-                              lo.required_bytes() - cfg.region_offset)
+                              lo.required_bytes() - REGION_OFFSET)
         )
     return out
 

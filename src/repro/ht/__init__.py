@@ -15,11 +15,9 @@ from .packet import (
     PacketError,
     VirtualChannel,
     make_broadcast,
-    make_nonposted_write,
     make_posted_write,
     make_read,
     make_read_response,
-    make_target_done,
 )
 from .tags import (
     NUM_TAGS,
@@ -44,10 +42,8 @@ __all__ = [
     "Packet",
     "PacketError",
     "make_posted_write",
-    "make_nonposted_write",
     "make_read",
     "make_read_response",
-    "make_target_done",
     "make_broadcast",
     "ADDR_EXTENSION_THRESHOLD",
     "ResponseMatchingTable",

@@ -197,16 +197,12 @@ class _Direction:
             ser = wire / link._rate
             try:
                 attempts = 1
-                if link._ber > 0:
-                    # Retry mode: the per-packet CRC the ACK/NAK protocol
-                    # verifies.  This is the only data-plane consumer of
-                    # the (lazily computed, cached) wire CRC; timing and
-                    # the retry draw below do not depend on its value.
-                    _ = pkt.crc32
                 while link._ber > 0 and (
                         link._rng.random() < link._ber * link._ber_derate):
-                    # HT3 retry: CRC failure detected, NAK + retransmission
-                    # costs another serialization window plus turnaround.
+                    # HT3 retry: one random draw per attempt stands for
+                    # the receiver's CRC check.  A failure (NAK plus
+                    # retransmission) costs another serialization window
+                    # plus turnaround.
                     yield ser + link.retry_turnaround_ns
                     stats.retries += 1
                     stats.busy_ns += ser + link.retry_turnaround_ns
@@ -309,6 +305,8 @@ class Link:
             credits_per_vc if credits_per_vc is not None else timing.link_credits_per_vc
         )
         self.tx_queue_depth = tx_queue_depth
+        #: Unidirectional rate in bytes/ns; :meth:`set_rate` is the only
+        #: mutation path after construction.
         self._rate = self.width_bits * self.gbit_per_lane / 8.0
         self._crc_bytes = timing.ht_crc_bytes
         self.ber = ber
@@ -349,16 +347,6 @@ class Link:
         }
 
     # -- rate -----------------------------------------------------------------
-    @property
-    def bytes_per_ns(self) -> float:
-        """Current unidirectional link rate (bytes/ns).
-
-        Cached as ``_rate`` (recomputed by :meth:`set_rate`, the single
-        mutation path after construction): serialization runs once per
-        packet and the float math showed up in wall-clock profiles.
-        """
-        return self._rate
-
     def serialization_ns(self, pkt: Packet) -> float:
         return pkt.wire_bytes(self._crc_bytes) / self._rate
 

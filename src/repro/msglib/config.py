@@ -29,12 +29,16 @@ from typing import Optional, Tuple
 
 from ..util.units import CACHELINE, KiB, MiB
 
-__all__ = ["MsgConfig", "RegionLayout", "SLOT_BYTES", "SLOT_PAYLOAD", "SLOT_HEADER"]
+__all__ = ["MsgConfig", "RegionLayout", "REGION_OFFSET", "SLOT_BYTES",
+           "SLOT_PAYLOAD", "SLOT_HEADER"]
 
 SLOT_BYTES = CACHELINE          # one slot == one posted write == one line
 SLOT_HEADER = 8                 # u32 seq, u32 len/marker
 SLOT_PAYLOAD = SLOT_BYTES - SLOT_HEADER
 PAGE = 4096
+#: Offset of the message regions inside each node's local DRAM (leaves
+#: low memory to the OS).
+REGION_OFFSET = 1 * MiB
 
 #: len-field marker for rendezvous control slots.
 RENDEZVOUS_MARKER = 0xFFFF_FFFF
@@ -62,9 +66,6 @@ class MsgConfig:
     fb_interval_slots: int = 16
     #: Bulk UC read chunk for draining multi-slot messages / heap payloads.
     read_chunk: int = 1024
-    #: Offset of the message regions inside each node's local DRAM (leaves
-    #: low memory to the OS).
-    region_offset: int = 1 * MiB
     # -- reliability (all default-off: the fault-free protocol, its
     # timing and its calendar footprint are unchanged) -------------------
     #: End-to-end delivery guard: when set, ``send()`` only completes
@@ -78,10 +79,6 @@ class MsgConfig:
     #: First retransmit backoff while waiting for acknowledgements;
     #: doubles after every retransmission round (exponential backoff).
     retransmit_base_ns: float = 50_000.0
-    #: Deadline for one HELLO/HELLO-ACK round trip before the reconnect
-    #: attempt is abandoned with :class:`SessionReset` (falls back to
-    #: ``send_deadline_ns`` when unset).
-    reconnect_deadline_ns: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.ring_bytes % SLOT_BYTES or self.ring_bytes < 4 * SLOT_BYTES:
@@ -102,8 +99,6 @@ class MsgConfig:
             raise ValueError("recv_deadline_ns must be positive (or None)")
         if self.retransmit_base_ns <= 0:
             raise ValueError("retransmit_base_ns must be positive")
-        if self.reconnect_deadline_ns is not None and self.reconnect_deadline_ns <= 0:
-            raise ValueError("reconnect_deadline_ns must be positive (or None)")
 
     @property
     def nslots(self) -> int:
@@ -121,12 +116,11 @@ class RegionLayout:
             raise ValueError("a cluster needs at least two ranks")
         self.cfg = cfg
         self.nranks = nranks
-        self.ring_off = cfg.region_offset
+        self.ring_off = REGION_OFFSET
         ring_total = _round_up(nranks * cfg.ring_bytes, PAGE)
         self.fb_off = self.ring_off + ring_total
         fb_total = _round_up(nranks * CACHELINE, PAGE)
         self.heap_off = self.fb_off + fb_total
-        self.total = self.heap_off + nranks * cfg.heap_bytes - cfg.region_offset
 
     # All helpers return offsets *within a node's local DRAM*.
     def ring_of_sender(self, sender_rank: int) -> int:

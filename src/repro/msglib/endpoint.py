@@ -33,7 +33,13 @@ from ..ht.link import LinkDownError
 from ..obs.metrics import fault_counters, flow_counters, metrics_for
 from ..sim.flows import plan_eager_span
 from ..util.units import CACHELINE
-from .config import HELLO_MARKER, RENDEZVOUS_MARKER, SLOT_BYTES, SLOT_PAYLOAD
+from .config import (
+    HELLO_MARKER,
+    RENDEZVOUS_MARKER,
+    SLOT_BYTES,
+    SLOT_HEADER,
+    SLOT_PAYLOAD,
+)
 from .slots import (
     pack_feedback,
     pack_hello,
@@ -455,13 +461,12 @@ class Endpoint:
         control slot carrying a fresh session epoch exactly where the
         peer polls next, and waits for the peer to echo the epoch on the
         feedback line (the HELLO-ACK).  Raises :class:`SessionReset`
-        when the echo does not arrive within the reconnect deadline; the
-        attempt is safe to repeat and converges once the peer is back.
+        when the echo does not arrive within the reconnect deadline (the
+        send deadline, else 8 x ``retransmit_base_ns``); the attempt is
+        safe to repeat and converges once the peer is back.
         """
         t = self.proc.core.chip.timing
-        limit = self.cfg.reconnect_deadline_ns
-        if limit is None:
-            limit = self.cfg.send_deadline_ns
+        limit = self.cfg.send_deadline_ns
         if limit is None:
             limit = 8 * self.cfg.retransmit_base_ns
         deadline = self.sim.now + limit
@@ -608,6 +613,10 @@ class Endpoint:
                         force=self._reliable)
                 else:
                     data = yield from self._recv_multislot(raw, length, deadline)
+                    if data is None:
+                        # A reconnecting sender's HELLO replaced the first
+                        # slot: the next poll consumes it.
+                        continue
                     yield from self._feedback_after_delivery(
                         force=self._reliable)
                 break
@@ -669,13 +678,16 @@ class Endpoint:
         data = yield from self.recv()
         return data
 
-    def _poll_slot(self, want_seq: int, deadline: Optional[float] = None):
+    def _poll_slot(self, want_seq: int, deadline: Optional[float] = None,
+                   hello_seq: Optional[int] = None):
         """Spin on a slot until its sequence number appears.
 
         ``deadline`` (absolute sim time) bounds the spin with a
         :class:`TransportError`; a deadline-guarded poll never parks, so
         it busy-polls on the plain poll grid, as does a ring that
-        :meth:`_parking_doorbell` cannot watch.
+        :meth:`_parking_doorbell` cannot watch.  With ``hello_seq`` set,
+        every busy-poll miss also reads that slot's header and returns
+        None once it holds a HELLO.
 
         Otherwise the *idle* part of the spin is event-driven: instead of
         burning one calendar entry per ``poll_iteration_ns``, the process
@@ -723,6 +735,11 @@ class Endpoint:
                 # retransmitting into a fully-consumed ring forever.
                 yield from self._rewrite_feedback()
             if db is None:
+                if hello_seq is not None:
+                    raw = yield from self.proc.load(
+                        self._slot_rx_addr(hello_seq), SLOT_HEADER)
+                    if unpack_header(raw) == (hello_seq, HELLO_MARKER):
+                        return None
                 yield t.poll_iteration_ns
                 continue
             # Park.  `seen` was snapshotted before the load, so any commit
@@ -814,6 +831,9 @@ class Endpoint:
 
     def _recv_multislot(self, first_raw: bytes, length: int,
                         deadline: Optional[float] = None):
+        """Reassemble a multi-slot message; None when a HELLO replaced
+        its first slot while a deadline-guarded wait was on a stale
+        middle slot."""
         k = slots_needed(length)
         last_seq = self.recv_seq + k
         # HT keeps posted writes in order along one path, so once the last
@@ -822,7 +842,12 @@ class Endpoint:
         # so every middle slot's seq is checked in the bulk read; from the
         # first stale slot on, poll until the late or retransmitted packet
         # fills it, then bulk-read the rest again.  Middle slots are full.
+        # A crash that lost the slots also lost their retransmit images:
+        # the sender then reconnects and writes its HELLO over the first
+        # slot (seq = acked + 1), so a deadline-guarded stale wait watches
+        # that slot too.
         yield from self._poll_slot(last_seq, deadline)
+        hello_seq = self.recv_seq + 1 if deadline is not None else None
         data = bytearray(unpack_payload(first_raw, min(length, SLOT_PAYLOAD)))
         seq = self.recv_seq + 2
         while seq < last_seq:
@@ -837,7 +862,9 @@ class Endpoint:
                 seq += 1
             else:
                 break
-            slot = yield from self._poll_slot(seq, deadline)
+            slot = yield from self._poll_slot(seq, deadline, hello_seq)
+            if slot is None:
+                return None
             data += unpack_payload(slot, SLOT_PAYLOAD)
             seq += 1
         if len(data) < length:

@@ -13,7 +13,7 @@ from ..kernel.driver import TccDriver
 from ..kernel.linux import UserProcess
 from ..kernel.pagetable import PAGE_SIZE
 from ..obs.metrics import metrics_for
-from .config import MsgConfig, RegionLayout
+from .config import REGION_OFFSET, MsgConfig, RegionLayout
 from .endpoint import Endpoint, MessageError, TransportError
 
 __all__ = ["MessageLibrary", "TransportError"]
@@ -55,7 +55,7 @@ class MessageLibrary:
             )
         # Export policy: remote nodes may only touch the message regions.
         driver.restrict_export(
-            my_base + cfg.region_offset,
+            my_base + REGION_OFFSET,
             my_base + self.layout.required_bytes(),
         )
         # Local mappings (UC so polling sees remote writes).

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..ht.link import Link, LinkDownError, LinkState
-from ..ht.packet import Command, Packet, factory_for, make_read, make_read_response, make_target_done
+from ..ht.packet import Command, Packet, factory_for, make_read, make_read_response
 from ..ht.tags import ResponseMatchingTable, UnroutableResponseError
 from ..obs.metrics import fault_counters, flow_counters, metrics_for
 from ..sim import AnyOf, Counter, Event, Simulator, Store
@@ -372,7 +372,8 @@ class Northbridge:
             sim._push(sim._now, self._cpu_read_local_start,
                       (addr, length, uncached, done))
         else:
-            self.sim.process(self._do_cpu_read(addr, length, uncached, done))
+            self.sim.process(self._do_cpu_read(r, addr, length, uncached,
+                                               done))
         return done
 
     def _cpu_read_local_start(self, addr: int, length: int, uncached: bool,
@@ -398,26 +399,16 @@ class Northbridge:
 
         ev.add_callback(_complete)
 
-    def _do_cpu_read(self, addr: int, length: int, uncached: bool, done: Event):
-        r = self.route(addr)
+    def _do_cpu_read(self, r: RouteResult, addr: int, length: int,
+                     uncached: bool, done: Event):
+        """Every load :meth:`cpu_read` does not chain: ``r`` is its route,
+        so readable local DRAM never arrives here."""
         yield self.timing.nb_request_ns
         if r.kind is RouteKind.NONE:
             done.fail(MasterAbort(f"{self.name}: read from unmapped {addr:#x}"))
             return
         if not r.readable:
             done.fail(MasterAbort(f"{self.name}: address {addr:#x} is write-only"))
-            return
-        if r.kind is RouteKind.DRAM_LOCAL:
-            if not self._dram_ready():
-                done.fail(MasterAbort(
-                    f"{self.name}: DRAM accessed before memory init"
-                ))
-                return
-            data = yield self.chip.memctrl.read(
-                self._local_offset(addr), length, uncached
-            )
-            self.counters.inc("local_reads")
-            done.succeed(data)
             return
         if r.kind is RouteKind.DRAM_REMOTE:
             # Coherent fabric read: tag + request + response.  A dead
@@ -740,9 +731,8 @@ class Northbridge:
                 if ((cmd is Command.WRITE_POSTED
                      or cmd is Command.WRITE_POSTED_BYTE)
                         and self._dram_ready()):
-                    # Posted-write destination commit, inlined: the bulk
-                    # data plane lands here once per packet, so skipping
-                    # the _local_access generator frame is worth it.
+                    # Posted-write destination commit: the bulk data
+                    # plane lands here once per packet.
                     memctrl.write_posted(local_offset(pkt.addr),
                                          pkt.data, pkt.mask)
                     counters_inc("rx_writes")
@@ -798,35 +788,20 @@ class Northbridge:
             return None
         return port
 
-    def _local_access(self, pkt: Packet, port: int,
-                      offset: Optional[int] = None):
-        """Service a request that targets this node's DRAM.  ``offset`` is
-        the already-routed local DRAM offset (recomputed if not given)."""
-        t = self.timing
+    def _local_access(self, pkt: Packet, port: int):
+        """Service a request that targets this node's DRAM.  The rx loop
+        commits every posted write inline once DRAM is ready, so past the
+        readiness check only a coherent read arrives here."""
         if not self._dram_ready():
             self.counters.inc("dram_uninitialized")
             return
-        if offset is None:
-            offset = self._local_offset(pkt.addr)
-        if pkt.is_write and pkt.cmd.is_posted:
-            self.chip.memctrl.write_posted(offset, pkt.data, pkt.mask)
-            self.counters.inc("rx_writes")
-            return
-        if pkt.is_write:
-            yield self.chip.memctrl.write(offset, pkt.data, pkt.mask)
-            rsp = make_target_done(srctag=pkt.srctag, unitid=pkt.unitid)
-            yield from self._route_response(rsp, port)
-            self.counters.inc("rx_np_writes")
-            return
-        if pkt.cmd is Command.READ:
-            data = yield self.chip.memctrl.read(offset, pkt.dword_count * 4,
-                                                uncached=False)
-            rsp = make_read_response(data, srctag=pkt.srctag, unitid=pkt.unitid,
-                                     coherent=pkt.coherent)
-            yield from self._route_response(rsp, port)
-            self.counters.inc("rx_reads")
-            return
-        self.counters.inc("unhandled_requests")
+        data = yield self.chip.memctrl.read(self._local_offset(pkt.addr),
+                                            pkt.dword_count * 4,
+                                            uncached=False)
+        rsp = make_read_response(data, srctag=pkt.srctag, unitid=pkt.unitid,
+                                 coherent=pkt.coherent)
+        yield from self._route_response(rsp, port)
+        self.counters.inc("rx_reads")
 
     def _route_response(self, rsp: Packet, rx_port: int):
         """Responses route by the requester NodeID carried in unitid."""
@@ -870,8 +845,5 @@ class Northbridge:
             return
         self._pending_reads.pop(pkt.srctag, None)
         if isinstance(ev, Event) and not ev.triggered:
-            if pkt.error:
-                ev.fail(MasterAbort("remote access returned error response"))
-            else:
-                ev.succeed(pkt.data)
+            ev.succeed(pkt.data)
         self.counters.inc("responses_matched")

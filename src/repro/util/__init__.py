@@ -1,6 +1,6 @@
 """Shared utilities: units, bit fields, calibration constants."""
 
-from .bitfield import BitField, FieldSpec, get_bits, mask, set_bits
+from .bitfield import get_bits, mask, set_bits
 from .calibration import DEFAULT_IB, DEFAULT_TIMING, EthernetModel, IBModel, TimingModel
 from .units import (
     CACHELINE,
@@ -18,8 +18,6 @@ from .units import (
 )
 
 __all__ = [
-    "BitField",
-    "FieldSpec",
     "get_bits",
     "set_bits",
     "mask",

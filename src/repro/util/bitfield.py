@@ -1,17 +1,13 @@
-"""Bit-field helpers for register and packet encoding.
+"""Bit-field helpers for the BKDG-style register files.
 
-The HT packet encoder and the BKDG-style register files both manipulate
-fields inside fixed-width words; these helpers centralize the masking
-arithmetic and validate widths so encode/decode bugs surface as exceptions
-rather than silent corruption.
+Register fields live inside fixed-width words; these helpers centralize
+the masking arithmetic and validate widths so programming bugs surface as
+exceptions rather than silent corruption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
-
-__all__ = ["get_bits", "set_bits", "mask", "BitField", "FieldSpec"]
+__all__ = ["get_bits", "set_bits", "mask"]
 
 
 def mask(width: int) -> int:
@@ -36,62 +32,3 @@ def set_bits(value: int, lo: int, width: int, field: int) -> int:
         )
     m = mask(width) << lo
     return (value & ~m) | ((field & mask(width)) << lo)
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Position of a named field inside a word."""
-
-    lo: int
-    width: int
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.width - 1
-
-
-class BitField:
-    """A word with named fields, e.g. an HT command dword or a config reg.
-
-    >>> bf = BitField(32, {"cmd": FieldSpec(0, 6), "unitid": FieldSpec(8, 5)})
-    >>> bf["cmd"] = 0x2D
-    >>> bf["cmd"]
-    45
-    """
-
-    def __init__(self, width: int, fields: Dict[str, FieldSpec], value: int = 0):
-        self.width = width
-        self.fields = dict(fields)
-        for name, spec in self.fields.items():
-            if spec.lo + spec.width > width:
-                raise ValueError(
-                    f"field {name!r} [{spec.lo}+{spec.width}] exceeds word width {width}"
-                )
-        self._check_overlap()
-        if value < 0 or value > mask(width):
-            raise ValueError(f"initial value {value:#x} exceeds {width} bits")
-        self.value = value
-
-    def _check_overlap(self) -> None:
-        used = 0
-        for name, spec in self.fields.items():
-            m = mask(spec.width) << spec.lo
-            if used & m:
-                raise ValueError(f"field {name!r} overlaps another field")
-            used |= m
-
-    def __getitem__(self, name: str) -> int:
-        spec = self.fields[name]
-        return get_bits(self.value, spec.lo, spec.width)
-
-    def __setitem__(self, name: str, field_value: int) -> None:
-        spec = self.fields[name]
-        self.value = set_bits(self.value, spec.lo, spec.width, field_value)
-
-    def items(self) -> Iterator[Tuple[str, int]]:
-        for name in self.fields:
-            yield name, self[name]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = " ".join(f"{k}={v:#x}" for k, v in self.items())
-        return f"<BitField {inner}>"

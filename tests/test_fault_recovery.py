@@ -354,3 +354,51 @@ def test_route_pressure_flood_torus8_multi_kill():
     assert fc.pressure_floods == 3
     assert fc.fatal_broadcasts == 3
     assert inj.routes.pressure_flooded == [0, 64, 448]
+
+
+# ---------------------------------------------------------------------------
+# Route-around off the grid: fully_connected routes by BFS.
+# ---------------------------------------------------------------------------
+
+def test_fully_connected_delivers_every_pair_before_and_after_a_kill():
+    """fully_connected(4) is the one topology whose routes come from
+    ``ClusterTopology._bfs_next_hops``, at boot and after route-around.
+    Every ordered pair delivers, then again once edge 0 (supernodes 0--1)
+    is killed and all four supernodes are reprogrammed."""
+    from repro.cluster import TCCluster
+    from repro.faults import FaultInjector, FaultKind, FaultPlan
+    from repro.topology import fully_connected
+
+    cl = TCCluster(fully_connected(4), memory_bytes=16 * MiB).boot()
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+
+    def msg(tag, a, b):
+        return bytes([tag, a, b, 0]) * 24
+
+    def exchange(tag):
+        got = {}
+
+        def tx(a, b):
+            yield from cl.library(a).connect(b).send(msg(tag, a, b))
+
+        def rx(a, b):
+            got[(a, b)] = yield from cl.library(b).connect(a).recv()
+
+        for a, b in pairs:
+            cl.sim.process(tx(a, b), name=f"tx{a}->{b}")
+            cl.sim.process(rx(a, b), name=f"rx{a}->{b}")
+        cl.run(until=cl.sim.now + 1e6)
+        return got
+
+    def forwarded():
+        return sum(c.nb.counters["forwarded"]
+                   for b in cl.boards for c in b.chips)
+
+    assert exchange(1) == {(a, b): msg(1, a, b) for a, b in pairs}
+    assert forwarded() == 0  # every pair is one hop apart
+    FaultInjector(cl, FaultPlan().add(1_000.0, FaultKind.LINK_KILL, 0)).arm()
+    cl.run(until=cl.sim.now + 2_000.0)
+    assert cl.tcc_links[0].dead
+    assert fault_counters(cl.sim).reroutes == 4
+    assert exchange(2) == {(a, b): msg(2, a, b) for a, b in pairs}
+    assert forwarded() > 0  # 0 <-> 1 now detours through 2 or 3

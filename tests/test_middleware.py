@@ -380,6 +380,7 @@ def test_gas_get_requires_dispatcher():
 
 from repro.middleware.collectives import (  # noqa: E402
     ALLTOALL_CROSSOVER_BYTES,
+    _step_wrap_dims,
     allreduce_crossover_bytes,
     chunk_bounds,
     ring_hop_profile,
@@ -559,6 +560,27 @@ def test_alltoall_algorithms_on_torus(torus_system, torus_comms, algo):
     for dst in range(n):
         for src in range(n):
             assert outs[dst][src] == block(src, dst), (src, dst, algo)
+
+
+def test_pairwise_alltoall_shift_schedule_on_odd_torus():
+    """torus2d(3,3): nine ranks walk the (rank + step) shift schedule,
+    and the steps whose routes cross a wrap link of a ring of three run
+    leg-synchronized (``_step_wrap_dims``); 4 KiB blocks stream."""
+    sys_ = TCClusterSystem(torus2d(3, 3)).boot()
+    n = sys_.nranks
+    comms = [Communicator.for_cluster(sys_.cluster, r) for r in range(n)]
+    assert any(_step_wrap_dims(comms[0], lambda r, s=step: (r + s) % n)
+               for step in range(1, n))
+
+    def block(src, dst):
+        return bytes(((src * 31 + dst * 7 + i) & 0xFF) for i in range(256)) * 16
+
+    outs = run_all(sys_, [comms[r].alltoall([block(r, d) for d in range(n)],
+                                            algorithm="pairwise")
+                          for r in range(n)])
+    for dst in range(n):
+        for src in range(n):
+            assert outs[dst][src] == block(src, dst), (src, dst)
 
 
 def test_collective_counters_record_algorithms(torus_system, torus_comms):

@@ -22,7 +22,7 @@ from repro.msglib.slots import (
 )
 from repro.obs.metrics import fault_counters
 from repro.topology import chain
-from repro.util.units import MiB
+from repro.util.units import KiB, MiB
 
 CFG = dict(send_deadline_ns=2e5, recv_deadline_ns=5e5,
            retransmit_base_ns=50_000.0)
@@ -193,6 +193,75 @@ def test_reconnect_times_out_with_session_reset_when_peer_stays_dead():
     # the handshake against a dead peer and surfaces SessionReset.
     assert box["value"] == ["expired", "reset"]
     assert ep_a.peer_dead
+
+
+def _stale_slot_reconnect(fidelity):
+    """Random-plan seed 32 of ``test_chaos.py``, written out: the sender's
+    crash discards eight middle slots of 64-slot message 8, whose first
+    and last slots have landed, and the retransmit images with them.
+    The sender retries each failed send; the receiver retries each
+    failed receive.  Returns (arming instant, delivery instants, sender
+    errors, receiver error instants)."""
+    plan = (FaultPlan()
+            .add(3_703.3, FaultKind.CREDIT_STALL, 0, duration_ns=3_728.2)
+            .add(4_205.2, FaultKind.BER_STORM, 0, duration_ns=28_526.0,
+                 magnitude=0.00775)
+            .add(21_804.7, FaultKind.NODE_CRASH, 0)
+            .add(85_019.1, FaultKind.NODE_WARM_RESET, 0))
+    cfg = MsgConfig(ring_bytes=16 * KiB, eager_max=7168,
+                    fb_interval_slots=128, read_chunk=4 * KiB,
+                    send_deadline_ns=4e5, recv_deadline_ns=2e6,
+                    retransmit_base_ns=100_000.0)
+    cl = TCCluster(chain(2), msg_cfg=cfg, memory_bytes=64 * MiB)
+    cl.sim.features.adaptive_fidelity = fidelity
+    cl.boot()
+    t0 = cl.sim.now
+    FaultInjector(cl, plan).arm()
+    ep_a, ep_b = cl.library(0).connect(1), cl.library(1).connect(0)
+    msgs = [bytes([i]) * 3584 for i in range(10)]
+    got, at, tx_errors, rx_errors = [], [], [], []
+
+    def tx():
+        for msg in msgs:
+            while True:
+                try:
+                    yield from ep_a.send(msg)
+                    break
+                except TransportError as exc:
+                    tx_errors.append(type(exc))
+
+    def rx():
+        while len(got) < len(msgs):
+            try:
+                msg = yield from ep_b.recv()
+            except TransportError:
+                rx_errors.append(cl.sim.now)
+                continue
+            got.append(msg)
+            at.append(cl.sim.now)
+
+    cl.sim.process(tx(), name="tx")
+    cl.sim.process(rx(), name="rx")
+    cl.run(until=t0 + 1e7)
+    assert got == msgs
+    assert fault_counters(cl.sim).crash_packets_discarded == 8
+    return t0, at, tx_errors, rx_errors
+
+
+def test_hello_ends_a_wait_on_a_stale_middle_slot():
+    """The reconnecting sender writes its HELLO over the first slot of
+    message 8 (seq = acked + 1) while the receiver waits on a stale
+    middle slot.  The receiver must take the HELLO and reset the
+    session at once, not wait out its 2 ms recv deadline while the
+    sender's reconnects end in SessionReset every 0.4 ms."""
+    runs = [_stale_slot_reconnect(f) for f in (False, True)]
+    assert runs[0] == runs[1]
+    t0, at, tx_errors, rx_errors = runs[0]
+    assert rx_errors == []
+    # Only the send that outlived the crash expires; its retry's
+    # handshake succeeds on the first attempt.
+    assert tx_errors == [TransportError]
+    assert at[8] - t0 < 5e5
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.sim import Counter, IntervalAccumulator, OnlineStats, Tracer
 from repro.util import (
     CACHELINE,
-    BitField,
-    FieldSpec,
     bandwidth_mbps,
     fmt_bytes,
     fmt_time_ns,
@@ -69,25 +67,6 @@ def test_mask_and_bits():
 def test_set_bits_overflow_rejected():
     with pytest.raises(ValueError):
         set_bits(0, 0, 4, 16)
-
-
-def test_bitfield_named_access():
-    bf = BitField(32, {"cmd": FieldSpec(0, 6), "unit": FieldSpec(8, 5)})
-    bf["cmd"] = 0x29
-    bf["unit"] = 7
-    assert bf["cmd"] == 0x29
-    assert bf["unit"] == 7
-    assert dict(bf.items()) == {"cmd": 0x29, "unit": 7}
-
-
-def test_bitfield_overlap_detected():
-    with pytest.raises(ValueError, match="overlap"):
-        BitField(16, {"a": FieldSpec(0, 8), "b": FieldSpec(4, 8)})
-
-
-def test_bitfield_width_checked():
-    with pytest.raises(ValueError):
-        BitField(8, {"a": FieldSpec(4, 8)})
 
 
 @given(lo=st.integers(0, 24), width=st.integers(1, 8),
