@@ -12,7 +12,8 @@ model's accuracy.  Three scenarios:
   for a 2 ms virtual window; measures the cost of *waiting* (the
   park/doorbell path should make this near-free).
 * ``fig6_4mib_weak`` -- the heaviest single figure point: one 4 MiB
-  weakly-ordered bandwidth sweep.
+  weakly-ordered bandwidth sweep, one store call per line, all of them
+  growing one open-ended train; gated on its deterministic event count.
 * ``fig6_full_sweep`` -- the whole Figure 6 grid (17 sizes x 2 modes),
   run serially and through the ``repro.sim.parallel`` process-pool
   runner (``--jobs``); the ratio is the sweep-level scale-out win.
@@ -799,6 +800,7 @@ def main(argv=None) -> int:
         baseline = json.loads(args.check_baseline.read_text())
         gates = [
             ("canonical_events_max", canon["events"], "canonical trace"),
+            ("fig6_events_max", fig6["events"], "fig6 4 MiB weak point"),
             ("mesh_events_max",
              scenarios["mesh_4x4"]["adaptive"]["events"],
              "mesh_4x4 adaptive scenario"),

@@ -29,10 +29,8 @@ from ..sim import Event
 from ..util.units import CACHELINE
 from .mtrr import MemoryType
 from .northbridge import RouteKind
-from .train import MIN_TRAIN_LINES, plan_train
+from .train import plan_train
 from .wc import WriteCombiner
-
-_MIN_TRAIN_BYTES = MIN_TRAIN_LINES * CACHELINE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chip import OpteronChip
@@ -83,14 +81,17 @@ class CpuCore:
         wc = self.wc
         pos = 0
         size = len(data)
-        if (size >= _MIN_TRAIN_BYTES and addr % CACHELINE == 0
+        if (size >= CACHELINE and addr % CACHELINE == 0
                 and self.sim.features.adaptive_fidelity):
-            # Bulk aligned WC store over a quiescent TCCluster window:
-            # collapse the packet train to closed-form arithmetic
-            # (repro.opteron.train); falls back per-packet on demotion.
+            # Aligned full lines over a quiescent TCCluster window: they
+            # open a packet train in closed-form arithmetic, or extend the
+            # one this core's previous store left open
+            # (repro.opteron.train); per-packet again on demotion.
             train = plan_train(self, addr, data)
             if train is not None:
-                pos = yield from train.run()
+                pos = yield from train.run(data)
+                if pos == size:
+                    return
         # Zero-copy: per-line chunks are memoryview spans into the caller's
         # (immutable) source buffer; full-line spans ride each packet all
         # the way to the destination page commit without being copied.
@@ -220,8 +221,9 @@ class CpuCore:
     # ------------------------------------------------------------------
     def sfence(self):
         """Drain WC buffers and serialize prior stores."""
-        for op in self.wc.flush():
-            ev = self.chip.nb.submit_posted(op.addr, op.data, op.mask)
-            if ev is not None:
-                yield ev
+        if self.wc._buffers:
+            for op in self.wc.flush():
+                ev = self.chip.nb.submit_posted(op.addr, op.data, op.mask)
+                if ev is not None:
+                    yield ev
         yield self.chip.timing.sfence_drain_ns

@@ -58,21 +58,25 @@ class SimFeatures:
     DESIGN.md, "Performance model equivalence").  Fault-free, the macro
     paths change only wall-clock cost; under link faults a WC train's
     demotion is still inexact (the strict-xfail fault oracles in
-    ``tests/test_train_equivalence.py``), so msglib slot spans are kept
-    away from those faults (``Simulator._train_faults_until``).
+    ``tests/test_train_equivalence.py``), so msglib slot spans and train
+    growth are kept away from those faults
+    (``Simulator._train_faults_until``).
     Poll parking is not a flag: it is part of the model (an idle
     receiver's busy polls would claim its memory port), and the pins and
     goldens are recorded with it.
     """
 
-    #: Every macro path that pays in wall-clock: an uncontended bulk WC
-    #: store's whole packet train (fill/dispatch/serialize pipeline) in
-    #: closed-form arithmetic, its destination commits as one arithmetic
-    #: span (``CommitSpan``), same-route remote read chains
-    #: (``ReadFlow``), and runs of msglib eager ring slots coalesced into
-    #: one span store that rides a train (``plan_eager_span``).  Each
-    #: demotes back to per-packet mode the instant anything else touches
-    #: the involved queues (see repro.opteron.train and repro.sim.flows).
+    #: Every macro path that pays in wall-clock: the packet train of
+    #: aligned full-line WC stores over a quiescent link
+    #: (fill/dispatch/serialize pipeline) in closed-form arithmetic,
+    #: which the core's next contiguous store extends, so a
+    #: line-at-a-time loop rides one train; its destination commits as
+    #: one arithmetic span (``CommitSpan``), same-route remote read
+    #: chains (``ReadFlow``), and runs of msglib eager ring slots
+    #: coalesced into one span store that rides a train
+    #: (``plan_eager_span``).  Each demotes back to per-packet mode the
+    #: instant anything else touches the involved queues (see
+    #: repro.opteron.train and repro.sim.flows).
     adaptive_fidelity: bool = True
 
 

@@ -1,7 +1,7 @@
 """Flow-level adaptive fidelity: macro events beyond the store train.
 
 :mod:`repro.opteron.train` proved the macro-event pattern for one traffic
-class -- the uncontended bulk WC store -- by replacing the per-packet
+class -- WC line stores over a quiescent link -- by replacing the per-packet
 pipeline with a closed-form schedule plus an *exact demotion* path that
 reconstructs per-packet state at an arbitrary instant.  This module
 carries the pattern to the train's destination and to two more classes:
@@ -212,8 +212,8 @@ def plan_eager_span(seq0: int, nslots: int, free_slots: int,
 
     Pure planning: no simulation state is touched.  The caller stores the
     span through the ordinary WC path, which is schedule-identical to the
-    per-slot stores it replaces (see the module docstring) and -- for
-    runs of four lines and up -- eligible for the bulk-train collapse.
+    per-slot stores it replaces (see the module docstring) and eligible
+    for the train collapse.
     The caller plans only under ``adaptive_fidelity``, for weak-mode
     sends without a metrics sampler, and only once ``sim.now`` is past
     ``sim._train_faults_until``, so no injected link-down or credit
@@ -249,9 +249,11 @@ class CommitSpan:
     memory controller's commit entry.  A ``CommitSpan`` eliminates both;
     it is the only way a :class:`~repro.opteron.train.BulkTrain` reaches
     destination DRAM.  The lines are contiguous in DRAM (one route row
-    covers the train), so line ``i`` lands at ``off0 + i * line``.  The
-    span registers the whole arrival schedule with the controller and
-    keeps three lazily-advanced cursors:
+    covers the train), so line ``i`` lands at ``off0 + i * line``.  A
+    train that grows appends to its span (:meth:`extend`); each store
+    call's payload is held by reference as one *part* starting at line
+    ``_starts[j]``.  The span registers the whole arrival schedule with
+    the controller and keeps three lazily-advanced cursors:
 
     * ``_applied``  -- arrivals folded into the controller's FCFS port
       arithmetic (:meth:`_fold`).  Every fold goes through the
@@ -282,19 +284,24 @@ class CommitSpan:
     (:meth:`truncate`); the per-packet path carries the rest.
     """
 
-    __slots__ = ("sim", "mc", "dest_nb", "off0", "mv", "times", "K",
-                 "line", "occ", "_lat", "_c", "_tv", "_cv", "_applied",
-                 "_flushed", "_recs", "_entries", "_fin", "_detached")
+    __slots__ = ("sim", "mc", "dest_nb", "off0", "_parts", "_starts",
+                 "times", "K", "line", "occ", "_lat", "_c", "_applied",
+                 "_flushed", "_recs", "_entries", "_fin", "_detached",
+                 "on_detach")
 
-    def __init__(self, sim, mc, dest_nb, off0, mv, times, line):
+    def __init__(self, sim, mc, dest_nb, off0, data, times, line):
         self.sim = sim
         self.mc = mc
         self.dest_nb = dest_nb
         self.off0 = off0              # DRAM offset of line 0
-        self.mv = mv
+        #: Line payloads by reference: part ``j`` holds the lines from
+        #: ``_starts[j]`` on (one part per store call of the train).
+        self._parts = [data]
+        self._starts = array("q", [0])
         # Per-line instants are packed doubles: as lists, the two series
         # of 64 concurrent 256 KiB trains would hold 16 MiB of float
-        # objects, not 4 MiB.
+        # objects, not 4 MiB.  NumPy sees them only through views taken
+        # per fold: an exported array('d') cannot grow.
         self.times = times            # exact per-line write_posted instants
         self.K = K = len(times)
         self.line = line
@@ -302,12 +309,6 @@ class CommitSpan:
         self._lat = mc.timing.dram_write_ns
         #: Commit instants; exact below ``_applied``, scratch above.
         self._c = array("d", bytes(8 * K))
-        # NumPy views for the idle-run fold (long spans only).
-        if K >= _FOLD_LINES:
-            self._tv = np.frombuffer(times)
-            self._cv = np.frombuffer(self._c)
-        else:
-            self._tv = self._cv = None
         self._applied = 0
         self._flushed = 0
         #: (doorbell, i0, i1): one per watched range, lines i0 <= i < i1.
@@ -315,13 +316,15 @@ class CommitSpan:
         self._entries = {}            # doorbell -> (MacroEntry, seen count)
         self._fin = MacroEntry(sim)
         self._detached = False
+        #: Called once the span detaches (its train closes then).
+        self.on_detach = None
         for lo, hi, db in mc._watches:
             self._add_rec(lo, hi, db, 0)
         mc._spans.append(self)
         sim._span_hosts[mc] = None
         # One entry holds the calendar open to the last commit (the
         # per-packet run's final _commit_write entry); re-armed if
-        # foreign port occupancy pushes the true instant later.
+        # foreign port occupancy or growth pushes the true instant later.
         self._fin.arm(self._estimate(K - 1), self._finalize, None)
 
     # -- port arithmetic ----------------------------------------------------
@@ -342,19 +345,20 @@ class CommitSpan:
         line at once.  A train's arrivals are at least one serialization
         apart, so after its first idle line a fold is normally one run.
         Busy lines and folds shorter than ``_FOLD_LINES`` take the step."""
-        times, c, tv = self.times, self._c, self._tv
+        times, c = self.times, self._c
         occ, lat = self.occ, self._lat
         while i < n:
             a = times[i]
-            if b > a or tv is None or n - i < _FOLD_LINES:
+            if b > a or n - i < _FOLD_LINES:
                 b = (b if b > a else a) + occ
                 c[i] = b + lat
                 i += 1
                 continue
-            ends = tv[i:n] + occ
-            busy = ends[:-1] > tv[i + 1:n]
+            tv = np.frombuffer(times)[i:n]
+            ends = tv + occ
+            busy = ends[:-1] > tv[1:]
             r = int(busy.argmax()) + 1 if busy.any() else n - i
-            np.add(ends[:r], lat, out=self._cv[i:i + r])
+            np.add(ends[:r], lat, out=np.frombuffer(c)[i:i + r])
             i += r
             b = times[i - 1] + occ
         return b
@@ -404,7 +408,24 @@ class CommitSpan:
             return
         mc = self.mc
         line = self.line
-        mc.memory.write_span(self.off0 + f * line, self.mv[f * line:n * line])
+        write = mc.memory.write_span
+        off0 = self.off0
+        starts, parts = self._starts, self._parts
+        j = bisect_right(starts, f) - 1
+        lo = f
+        while lo < n:
+            s0 = starts[j]
+            part = parts[j]
+            hi = s0 + len(part) // line
+            if hi > n:
+                hi = n
+            if lo == s0 and (hi - lo) * line == len(part):
+                write(off0 + lo * line, part)
+            else:
+                write(off0 + lo * line,
+                      memoryview(part)[(lo - s0) * line:(hi - s0) * line])
+            lo = hi
+            j += 1
         mc.writes += n - f
         mc.bytes_written += (n - f) * line
         for db, i0, i1 in self._recs:
@@ -414,21 +435,49 @@ class CommitSpan:
                 db._count += hi - lo
         self._flushed = n
 
+    def line_data(self, i: int):
+        """Payload of line ``i`` (a zero-copy span of its part)."""
+        j = bisect_right(self._starts, i) - 1
+        k = (i - self._starts[j]) * self.line
+        return memoryview(self._parts[j])[k:k + self.line]
+
+    def extend(self, times, data) -> None:
+        """Append lines: their ``times`` of arrival and their payload
+        ``data``, held by reference as one more part.  Records of watched
+        ranges grow over the new lines, and a consumer already parked on
+        one of them gets its ring entry.  The finalize entry stays where
+        it is: it re-arms at the new last commit when it fires."""
+        K0 = self.K
+        self._parts.append(data)
+        self._starts.append(K0)
+        self.times.extend(times)
+        self.K = K0 + len(times)
+        self._c.frombytes(bytes(8 * len(times)))
+        for lo, hi, db in self.mc._watches:
+            self._add_rec(lo, hi, db, K0)
+
     # -- watched ranges -------------------------------------------------------
     def _add_rec(self, lo: int, hi: int, db, first: int) -> None:
         """Record the lines from ``first`` on that overlap DRAM range
-        ``[lo, hi)`` as ring sources of ``db``.  A consumer parked before
-        the record existed (the usual receive pattern: park first,
-        traffic arrives later) never hit the park-time arming hook, so
-        arm for it here."""
+        ``[lo, hi)`` as ring sources of ``db``; a record ending at the
+        first new line grows instead.  A consumer parked before the
+        record existed (the usual receive pattern: park first, traffic
+        arrives later) never hit the park-time arming hook, so arm for
+        it here."""
         line = self.line
         i0 = max(first, (lo - self.off0) // line)
         i1 = min(self.K, (hi - self.off0 + line - 1) // line)
         if i0 >= i1:
             return
-        if all(d is not db for d, _i0, _i1 in self._recs):
-            db._providers.append(self)
-        self._recs.append((db, i0, i1))
+        recs = self._recs
+        for k, (d, r0, r1) in enumerate(recs):
+            if d is db and r1 == i0:
+                recs[k] = (db, r0, i1)
+                break
+        else:
+            if all(d is not db for d, _i0, _i1 in recs):
+                db._providers.append(self)
+            recs.append((db, i0, i1))
         if db._waiters:
             self.arm(db)
 
@@ -521,19 +570,31 @@ class CommitSpan:
             self._fin.arm(self._estimate(self.K - 1), self._finalize, None)
 
     def detach(self) -> None:
+        """Leave the controller.  A flush moves ``Doorbell._count``
+        without waking anyone (the ring entries do that), so every
+        consumer whose entry is revoked here and whose snapshot the
+        count has passed wakes now, as the per-packet commit's ring
+        would have woken it."""
         if self._detached:
             return
         self._detached = True
         self._fin.cancel()
-        for ent, _ in self._entries.values():
+        entries, self._entries = self._entries, {}
+        for ent, _ in entries.values():
             ent.cancel()
-        self._entries.clear()
-        for db in dict.fromkeys(d for d, _i0, _i1 in self._recs):
-            db._providers.remove(self)
+        if self._recs:
+            for db in dict.fromkeys(d for d, _i0, _i1 in self._recs):
+                db._providers.remove(self)
         mc = self.mc
         mc._spans.remove(self)
         if not mc._spans:
             del self.sim._span_hosts[mc]
+        for db, (_ent, seen) in entries.items():
+            if db._waiters and db.count != seen:
+                db._wake_waiters()
+        done, self.on_detach = self.on_detach, None
+        if done is not None:
+            done()
 
     def truncate(self, n: int) -> None:
         """Demote: keep lines ``[0, n)``, those whose serialization began

@@ -19,7 +19,8 @@ Remote read chains (:class:`~repro.sim.flows.ReadFlow`) face the same
 oracle with ``adaptive_fidelity`` on or off.
 
 Deliberate divergences (excluded): the ``train_*`` / flow telemetry
-counters, which exist only when the fast paths engage.  Every
+counters of both northbridges, which exist only when the fast paths
+engage.  Every
 ``LinkStats`` field is compared.
 """
 
@@ -120,16 +121,14 @@ def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
     sim.run()
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
-    counters = {k: v for k, v in nb.counters.as_dict().items()
-                if not k.startswith("train_")}
     dmc = dest_chip.memctrl
     return dict(
         t_end=sim.now,
         recv_times=recv_times,
         payload_ok=got == payloads,
         stats=stats,
-        counters=counters,
-        dest_counters=dest_chip.nb.counters.as_dict(),
+        counters=_model_counters(nb),
+        dest_counters=_model_counters(dest_chip.nb),
         dest_mc=(dmc.reads, dmc.writes, dmc.bytes_read, dmc.bytes_written),
         dest_mem=dmc.memory.read(0, 1 << 20),
         events=sim.event_count - e0,
@@ -138,6 +137,14 @@ def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
         slot_windows=flow_counters(sim).slot_windows,
         open_windows=open_windows,
     )
+
+
+def _model_counters(nb):
+    """A northbridge's counters minus the ``train_*`` telemetry, which
+    exists only when trains engage (the receiver's feedback lines open
+    trains too)."""
+    return {k: v for k, v in nb.counters.as_dict().items()
+            if not k.startswith("train_")}
 
 
 _COMPARED = ("t_end", "recv_times", "payload_ok", "stats", "counters",
@@ -297,9 +304,8 @@ def run_read_exchange(fast, nlines=24, kind=None, t_off=None):
         t_end=sim.now,
         payload_ok=got.get("data") == payload,
         stats=stats,
-        counters={k: v for k, v in node0.nb.counters.as_dict().items()
-                  if not k.startswith("train_")},
-        dest_counters=node1.nb.counters.as_dict(),
+        counters=_model_counters(node0.nb),
+        dest_counters=_model_counters(node1.nb),
         dest_mc=(mc1.reads, mc1.writes, mc1.bytes_read, mc1.bytes_written),
         dest_mem=mc1.memory.read(0, 1 << 20),
         events=sim.event_count - e0,

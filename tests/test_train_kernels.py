@@ -86,6 +86,170 @@ def test_schedule_kernel_matches_loop(p):
         assert all(type(x) is float for x in g)
 
 
+@st.composite
+def _append_case(draw):
+    p = draw(_params())
+    K = p[1]
+    # Split the train into appends: single lines, short runs and runs on
+    # both sides of the kernel's crossover.
+    cuts = []
+    left = K
+    while left:
+        n = min(left, draw(st.one_of(st.just(1), st.integers(1, 8),
+                                     st.integers(_VEC - 2, 2 * _VEC))))
+        cuts.append(n)
+        left -= n
+    return p, cuts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_append_case())
+# One line at a time, both sides of the crossover, default timing.
+@example(((0.0, _VEC - 1, 12.0, 20.0, 23.75, 2048, 4), [1] * (_VEC - 1)))
+@example(((3.5, _VEC + 40, 12.0, 20.0, 23.75, 2048, 4), [1] * (_VEC + 40)))
+# A long append after a line-by-line prefix, and the posted queue fills.
+@example(((0.0, 1200, 12.0, 20.0, 23.75, 300, 4), [1] * 100 + [1100]))
+def test_appends_reproduce_one_schedule(case):
+    """Appending lines whose fill starts when the line before is
+    accepted (so each submits at ``accept[i - 1] + F``) is the schedule
+    of one store of all of them, bit for bit."""
+    (t0, K, F, TS, SER, CAPQ, CAPT), cuts = case
+    want = train.schedule(t0, K, F, TS, SER, CAPQ, CAPT)
+    got = None
+    for n in cuts:
+        fs = t0 if got is None else got[0][-1]
+        got = train.schedule(fs, n, F, TS, SER, CAPQ, CAPT, got)
+    for name, g, w in zip(("accept", "fill_done", "pop", "putc", "ss"),
+                          got, want):
+        assert g == w, f"{name} diverged for {case}"
+        assert all(type(x) is float for x in g)
+
+
+def _store_calls(gaps, lens, fast):
+    """Per-line pipeline instants of store calls on the two-board
+    prototype: call ``j`` stores ``lens[j]`` contiguous lines ``gaps[j]``
+    ns after the call before it returned.  Per packet they are read off
+    the live run (posted-queue accept, dispatcher pop, TX-queue put,
+    serialization start); with trains, from the series of every train
+    the calls opened or grew."""
+    from repro.bench.microbench import _RawWindow
+    from repro.core import TCClusterSystem
+
+    system = TCClusterSystem.two_board_prototype()
+    system.sim.features.adaptive_fidelity = fast
+    system.boot()
+    cl = system.cluster
+    sim = cl.sim
+    win = _RawWindow(cl, cl.rank_of(0, 1), cl.rank_of(1, 1))
+    proc = win.proc
+    nb = proc.core.chip.nb
+    binding = proc.core.chip.ports[nb.route(win.tx_base).dst_link]
+    d = binding.link._dirs[binding.side]
+    seen = {k: [] for k in ("accept", "pop", "putc", "ss")}
+
+    def at_trigger(key, ev):
+        ev.add_callback(lambda _e: seen[key].append(sim.now))
+
+    if not fast:
+        pq = nb.posted_q
+        try_get, get = pq.try_get, pq.get
+        send_fast = nb._send_on_port_fast
+        try_acquire, acquire = d.phy.try_acquire, d.phy.acquire
+
+        def spy_try_get():
+            ok, item = try_get()
+            if ok:
+                seen["pop"].append(sim.now)
+            return ok, item
+
+        def spy_get():
+            ev = get()
+            at_trigger("pop", ev)
+            return ev
+
+        def spy_send(port, pkt):
+            ev = send_fast(port, pkt)
+            if ev is None:
+                seen["putc"].append(sim.now)
+            else:
+                at_trigger("putc", ev)
+            return ev
+
+        def spy_try_acquire():
+            ok = try_acquire()
+            if ok:
+                seen["ss"].append(sim.now)
+            return ok
+
+        def spy_acquire():
+            ev = acquire()
+            at_trigger("ss", ev)
+            return ev
+
+        pq.try_get, pq.get = spy_try_get, spy_get
+        for ev in pq._getters:        # the dispatcher parked at boot
+            at_trigger("pop", ev)
+        nb._send_on_port_fast = spy_send
+        d.phy.try_acquire, d.phy.acquire = spy_try_acquire, spy_acquire
+
+    trains = []
+    data = bytes((i * 37 + 5) % 256 for i in range(64 * sum(lens)))
+
+    def job():
+        line = 0
+        for gap, n in zip(gaps, lens):
+            if gap:
+                yield gap
+            yield from proc.store(win.tx_base + line * CACHELINE,
+                                  data[line * CACHELINE:
+                                       (line + n) * CACHELINE])
+            if not fast:
+                seen["accept"].append(sim.now)
+            elif nb._macro is not None and nb._macro not in trains:
+                trains.append(nb._macro)
+            line += n
+
+    sim.process(job())
+    sim.run()
+    dest = cl.ranks[cl.rank_of(1, 1)]
+    assert dest.chip.memory.read(win.tx_base - dest.base, len(data)) == data
+    if not fast:
+        return seen
+    assert sum(t.K for t in trains) == sum(lens), "a line left the trains"
+    assert all(not t.aborted for t in trains)
+    return {k: [x for t in trains for x in getattr(t, k)] for k in seen}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.just(0.0), st.sampled_from([4.0, 12.0, 20.0, 23.75, 55.75]),
+              st.floats(0.0, 400.0, allow_nan=False)),
+    st.one_of(st.just(1), st.integers(1, 6))), min_size=1, max_size=60))
+@example([(0.0, 1)] * 40 + [(500.0, 1)] + [(23.75, 1)] * 20)
+# Each call's line extends a train whose pipeline drained 0-32 ns ago.
+@example([(0.0, 1)] + [(75.75, 1)] * 30)
+def test_later_submissions_match_per_packet(calls):
+    """A line submitted at any later instant -- back to back, mid-drain,
+    after the pipeline emptied -- gets the accept, pop, put and
+    serialization instants of the per-packet run."""
+    gaps = [g for g, _ in calls]
+    lens = [n for _, n in calls]
+    slow = _store_calls(gaps, lens, False)
+    fast = _store_calls(gaps, lens, True)
+    for key in ("accept", "pop", "putc", "ss"):
+        want = slow[key]
+        if key == "accept":
+            # Per packet only each call's last acceptance is observed.
+            ends = []
+            i = -1
+            for n in lens:
+                i += n
+                ends.append(fast[key][i])
+            assert ends == want, key
+        else:
+            assert fast[key] == want, key
+
+
 def test_long_train_leaves_the_loop():
     # Default timing, 4096 lines: the loop runs the transient and the
     # round restart after the posted queue fills; NumPy does the rest.
