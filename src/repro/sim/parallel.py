@@ -220,11 +220,17 @@ def _run_pool(points: List[SweepPoint], njobs: int,
                         error=f"timed out after {timeout}s (sweep deadline)",
                     )
                 workers = list(pool._processes.values())
+                manager = pool._executor_manager_thread
                 pool.shutdown(wait=False, cancel_futures=True)
                 # shutdown() cannot stop a point that is already running,
                 # and the interpreter would wait for its worker at exit.
+                # The pool's manager thread reaps the terminated workers
+                # too; wait for it, or a worker it reaped first can stay
+                # listed as alive in multiprocessing.active_children().
                 for proc in workers:
                     proc.terminate()
+                if manager is not None:
+                    manager.join()
                 for proc in workers:
                     proc.join()
                 partial = [results_by_key[p.key] for p in points
