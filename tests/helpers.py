@@ -62,3 +62,49 @@ def make_tcc_pair(timing=DEFAULT_TIMING, activate: bool = True, **link_kw) -> Tc
     chip0.start()
     chip1.start()
     return TccPair(sim, chip0, chip1, link)
+
+
+def system_chips(system):
+    """Every chip of a booted system: a ``TCClusterSystem``, a
+    ``TCCluster``, a single-board prototype or a :class:`TccPair`."""
+    if isinstance(system, TccPair):
+        return list(system.chips)
+    cluster = getattr(system, "cluster", system)
+    boards = cluster.boards if hasattr(cluster, "boards") else [system.board]
+    return [chip for board in boards for chip in board.chips]
+
+
+def system_links(system):
+    """Every link attached to a chip of ``system``, by name."""
+    links = {}
+    for chip in system_chips(system):
+        for binding in chip.ports.values():
+            links.setdefault(binding.link.name, binding.link)
+    return [links[name] for name in sorted(links)]
+
+
+def assert_drained(system) -> None:
+    """Conservation audit after ``sim.run()`` has drained the calendar:
+    every credit is home, no TX queue, rx store or posted queue holds a
+    packet, no serializer is held, and no cancelled entry or macro
+    window is left behind."""
+    chips = system_chips(system)
+    sim = chips[0].sim
+    for link in system_links(system):
+        for side, d in link._dirs.items():
+            where = f"{link.name}.{side}"
+            for vc, pool in d.credits.items():
+                assert pool.credits == pool.initial, (
+                    f"{where}: {vc.name} credits {pool.credits} of "
+                    f"{pool.initial}")
+            for vc, q in d.txq.items():
+                assert not len(q) and not q._putters, (
+                    f"{where}: {vc.name} TX queue holds {len(q)}")
+            assert not len(d.rx), f"{where}: rx store holds {len(d.rx)}"
+            assert not d.phy.in_use, f"{where}: serializer held"
+    for chip in chips:
+        q = chip.nb.posted_q
+        assert not len(q) and not q._putters, (
+            f"{chip.name}: posted queue holds {len(q)}")
+    assert not sim._cancelled, f"cancelled entries left: {sim._cancelled}"
+    assert not sim._windows, f"macro windows left open: {list(sim._windows)}"

@@ -28,6 +28,7 @@ import random
 
 import pytest
 
+from helpers import assert_drained
 from repro.cluster import build_single_board_prototype
 from repro.core import TCClusterSystem
 from repro.faults import FaultInjector, FaultKind, FaultPlan
@@ -119,6 +120,8 @@ def run_exchange(fast, nmsgs=2, kind=None, t_off=None, msg_bytes=MSG_BYTES):
     ps = [sim.process(sender()), sim.process(receiver())]
     sim.run_until_event(sim.all_of(ps))
     sim.run()
+    if kind is None:
+        assert_drained(sys_)
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
     dmc = dest_chip.memctrl
@@ -296,6 +299,8 @@ def run_read_exchange(fast, nlines=24, kind=None, t_off=None):
     done = sim.process(reader())
     sim.run_until_event(done)
     sim.run()
+    if kind is None:
+        assert_drained(proto)
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
     mc1 = node1.memctrl

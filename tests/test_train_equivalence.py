@@ -24,6 +24,7 @@ from unittest import mock
 
 import pytest
 
+from helpers import assert_drained
 from repro.sim.flows import CommitSpan
 from repro.topology import chain, torus2d
 from repro.util.units import CACHELINE
@@ -157,6 +158,8 @@ def run_train_mode(K, fast, kind=None, t_off=None, tail=0, loop=None,
     with mock.patch.object(CommitSpan, "flush_until", span_spy):
         sim.run_until_event(handle[0])
         sim.run()
+    if kind is None:
+        assert_drained(system)
 
     stats = {s: link.stats(s).as_dict(sim.now) for s in ("A", "B")}
     snap = nb._m.snapshot(sim.now)
@@ -477,6 +480,7 @@ def run_converging_stores(topo, sources, dest, nbytes, fast):
     with mock.patch.object(CommitSpan, "flush_until", span_spy):
         sim.run_until_event(sim.all_of(procs))
         sim.run()
+    assert_drained(system)
     mem = mc.memory.read(base - cl.ranks[rd].base, nbytes * len(sources))
     assert mem == b"".join(datas)
     trains = sum(w.proc.core.chip.nb.counters.get("train_windows")
