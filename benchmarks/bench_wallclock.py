@@ -28,6 +28,10 @@ model's accuracy.  Three scenarios:
   (``bytes_copied``, ``packets_alloc``) and asserts that each byte is
   copied once and each line builds one packet; gated on its
   deterministic event count.
+* ``forward6``       -- one 64 KiB store from a corner of
+  torus3d(4,4,4) to its antipode, six forwarding hops away, through the
+  per-packet stages (adaptive fidelity off); reports calendar entries
+  per line and is gated on its deterministic event count.
 * ``read_chain``     -- 256 KiB of remote memory pulled as 4096
   sequential coherent cacheline reads (the read-heavy counterpart of the
   fig6 store sweeps), per-packet vs ``adaptive_fidelity`` ReadFlow
@@ -121,6 +125,10 @@ TORUS_RING_MSGS = 8
 TORUS_RING_MSG_BYTES = 7168
 TORUS_RING_COMPUTE_NS = 200.0
 TORUS_RING_SEED = 0xC0FFEE
+
+#: Bytes the forward6 scenario stores from (0,0,0) to (2,2,2) on
+#: torus3d(4,4,4): 1024 lines, each crossing eight link directions.
+FORWARD6_BYTES = 64 * KiB
 
 #: Bytes the read-chain scenario pulls over the coherent fabric link
 #: (4096 cachelines -> 4096 remote read/response round trips).
@@ -311,6 +319,54 @@ def bench_torus64():
         "boot_ns": point.boot_ns,
         "transfer_ns": point.transfer_ns,
         "events": point.events,
+    }
+
+
+def bench_forward6():
+    """One store over six forwarding hops, packet by packet.
+
+    A corner of torus3d(4,4,4) stores 64 KiB into its antipode's DRAM in
+    one call plus an sfence, with adaptive fidelity off: every line goes
+    through the dispatcher, eight link pumps and eight rx stages (six
+    forwarding northbridges plus the intra-board hops).  Counts the
+    calendar entries after boot (``forward6_events_max``) and per line."""
+    from repro.bench.microbench import _RawWindow
+    from repro.topology import torus3d
+
+    sys_ = TCClusterSystem(torus3d(4, 4, 4))
+    sys_.sim.features.adaptive_fidelity = False
+    sys_.boot()
+    cl = sys_.cluster
+    sim = sys_.sim
+    topo = cl.topology
+    src = cl.rank_of(topo.supernode_at((0, 0, 0)))
+    dst = cl.rank_of(topo.supernode_at((2, 2, 2)))
+    win = _RawWindow(cl, src, dst)
+    data = bytes((i * 37 + 5) % 256 for i in range(FORWARD6_BYTES))
+
+    def xfer():
+        yield from win.proc.store(win.tx_base, data)
+        yield from win.proc.core.sfence()
+
+    e0, p0, v0 = sim.event_count, sim.heap_pushes, sim.now
+    t0 = time.perf_counter()
+    sim.run_until_event(sim.process(xfer()))
+    sim.run()
+    wall = time.perf_counter() - t0
+    events = sim.event_count - e0
+    info = cl.ranks[dst]
+    got = info.chip.memory.read(win.tx_base - info.base, len(data))
+    assert got == data, "forward6 transfer corrupted"
+    lines = FORWARD6_BYTES // 64
+    return {
+        "runtime_s": round(wall, 4),
+        "transfer_bytes": FORWARD6_BYTES,
+        "lines": lines,
+        "events": events,
+        "events_per_line": round(events / lines, 2),
+        "heap_pushes": sim.heap_pushes - p0,
+        "events_per_sec": round(events / wall) if wall > 0 else None,
+        "virtual_ns": round(sim.now - v0, 2),
     }
 
 
@@ -752,6 +808,7 @@ def main(argv=None) -> int:
         "mesh_4x4": bench_mesh_4x4(),
         "datapath_churn": bench_datapath_churn(),
         "torus64": bench_torus64(),
+        "forward6": bench_forward6(),
         "torus_ring": bench_torus_ring(),
         "read_chain": bench_read_chain(),
         "collectives": bench_collectives(),
@@ -810,6 +867,9 @@ def main(argv=None) -> int:
             ("torus64_events_max",
              scenarios["torus64"]["events"],
              "torus3d(4,4,4) halo scenario"),
+            ("forward6_events_max",
+             scenarios["forward6"]["events"],
+             "forward6 per-packet six-hop scenario"),
             ("torus_ring_events_max",
              scenarios["torus_ring"]["macro"]["events"],
              "torus-ring slot-span scenario"),
