@@ -15,6 +15,7 @@ writes contend for the same device -- the paper notes that UC polling
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import Doorbell, Event, Simulator, Tracer, NULL_TRACER
@@ -35,8 +36,60 @@ class MemoryError_(RuntimeError):
     """Out-of-range physical memory access (master abort)."""
 
 
+#: Pages per reclaim step: a DRAM image that grows by this much
+#: (1 MiB) first checks for finished simulations' DRAM (:class:`_Reclaim`).
+_RECLAIM_PAGES = 256
+
+
+class _Reclaim:
+    """Bounds the DRAM that finished simulations hold while they wait for
+    the cyclic collector (one per process, like the collector).
+
+    A simulated system is one large reference cycle (chip <-> northbridge,
+    link <-> attached chips, ...), so its DRAM pages outlive it until a
+    full collection, whose timing CPython derives from object counts, not
+    bytes.  Each time one memory image grows by ``_RECLAIM_PAGES``, it
+    runs a full collection first if the other images allocated at least
+    that many pages since the last one: in a process that builds system
+    after system, the pages of finished ones are then freed before a
+    growing one adds to them.  A single system triggers it only when two
+    of its images grow by that much together."""
+
+    def __init__(self) -> None:
+        self.epoch = 0          # bumped at every full collection seen
+        self.full = -1          # full collections the collector reported
+        self.pages = 0          # pages allocated by every image this epoch
+
+    def grew(self, mem: "Memory") -> None:
+        if mem._epoch != self.epoch:
+            mem._epoch, mem._fresh = self.epoch, 0
+        mem._fresh += 1
+        self.pages += 1
+        if len(mem._pages) % _RECLAIM_PAGES:
+            return
+        full = gc.get_stats()[-1]["collections"]
+        if full != self.full:
+            self.full = full
+            self._new_epoch(mem)
+        if self.pages - mem._fresh >= _RECLAIM_PAGES:
+            gc.collect()
+            self.full = gc.get_stats()[-1]["collections"]
+            self._new_epoch(mem)
+
+    def _new_epoch(self, mem: "Memory") -> None:
+        self.epoch += 1
+        self.pages = 0
+        mem._epoch, mem._fresh = self.epoch, 0
+
+
+_reclaim = _Reclaim()
+
+
 class Memory:
     """Sparse byte-addressable storage of one node's DRAM."""
+
+    _epoch = -1
+    _fresh = 0
 
     def __init__(self, size: int):
         if size <= 0 or size % PAGE_SIZE:
@@ -53,6 +106,7 @@ class Memory:
         page = self._pages.get(pageno)
         if page is None:
             page = self._pages[pageno] = bytearray(PAGE_SIZE)
+            _reclaim.grew(self)
         return page
 
     def check_range(self, offset: int, length: int) -> None:
@@ -93,6 +147,7 @@ class Memory:
             chunk = mv[pos : pos + n]
             if n == PAGE_SIZE and pageno not in pages:
                 pages[pageno] = bytearray(chunk)
+                _reclaim.grew(self)
             else:
                 self._page(pageno)[inpage : inpage + n] = chunk
             pos += n

@@ -1,5 +1,8 @@
 """Tests for sparse memory and the DRAM controller timing model."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +119,28 @@ def test_write_span_adopts_whole_absent_page():
     assert mem.read(0, len(data)) == data
     assert mem.bytes_copied == len(data)
     assert mem.resident_bytes == 2 * PAGE_SIZE
+
+
+def test_growing_image_reclaims_a_finished_one():
+    """A memory image that grows by 1 MiB frees the DRAM of an
+    unreachable image caught in a reference cycle (a finished
+    simulation) without waiting for the collector's own schedule."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        old = Memory(8 << 20)
+        cycle = [old]
+        cycle.append(cycle)
+        old.write_span(0, bytes(2 << 20))
+        gone = weakref.ref(old)
+        del old, cycle
+        assert gone() is not None, "the cycle keeps the image alive"
+        new = Memory(8 << 20)
+        new.write_span(0, bytes(1 << 20))
+        assert gone() is None, "the finished image still holds its pages"
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_memctrl_write_timing():
