@@ -89,7 +89,7 @@ class CpuCore:
             # (repro.opteron.train); per-packet again on demotion.
             train = plan_train(self, addr, data)
             if train is not None:
-                pos = yield from train.run(data)
+                pos = yield from train.run(addr, data)
                 if pos == size:
                     return
         # Zero-copy: per-line chunks are memoryview spans into the caller's

@@ -13,15 +13,19 @@ compute what three ``max()`` chains already know.
 :func:`plan_train` checks that an aligned full-line WC store over a
 quiescent single-hop TCCluster window qualifies and :class:`BulkTrain`
 then carries it at *aggregate fidelity*.  The train is open-ended: the
-same core's next store at the following line *extends* it (Figure 6's
-loop stores one line per call, strict mode with an sfence after each),
-so one train carries a whole line-at-a-time stream.  Every store call
-appends its lines at the instant it begins and waits once, until its
-last line is accepted; a multi-line store is one append of all its
-lines.  A line depends only on earlier lines and its own fill start, so
-no computed instant ever changes when the train grows.  Metrics or an
-armed fault that a train does not survive exactly keep a train to the
-one store that opened it, of at least ``MIN_TRAIN_LINES`` lines.
+same core's next full-line store *extends* it when its lines take the
+train's own route -- out the same port, into the destination chip's
+local DRAM -- whatever their address.  Each store call is a *segment*
+of the train: Figure 6's loop stores one line per call, each segment
+starting where the last one ended, and a rendezvous message is its
+heap payload and then, after an sfence, its one-line control slot in
+the ring.  Every store call appends its lines at the instant it begins
+and waits once, until its last line is accepted; a multi-line store is
+one append of all its lines.  A line depends only on earlier lines and
+its own fill start, never on its address, so no computed instant ever
+changes when the train grows.  Metrics or an armed fault that a train
+does not survive exactly keep a train to the one store that opened it,
+of at least ``MIN_TRAIN_LINES`` lines.
 
 * the sender side (core fills, posted queue, dispatcher, TX queue,
   serializer) becomes pure arithmetic -- its externally visible effects
@@ -264,6 +268,22 @@ def _cover_limit(table, base: int) -> int:
     return base
 
 
+def _rows_end(nb, dest_nb, port: int, addr: int) -> int:
+    """End of the run from ``addr`` whose lines leave ``nb`` through
+    ``port`` as a writable ``MMIO_LOCAL_LINK`` and land in ``dest_nb``'s
+    local DRAM, one route row covering the run on each side, so that its
+    lines are contiguous in that DRAM (``addr`` itself when its own line
+    does not qualify: multi-hop stays per-packet)."""
+    r = nb.route(addr)
+    if (r.kind is not RouteKind.MMIO_LOCAL_LINK or not r.writable
+            or r.dst_link != port):
+        return addr
+    if dest_nb.route(addr).kind is not RouteKind.DRAM_LOCAL:
+        return addr
+    return min(_cover_limit(nb._route_table, addr),
+               _cover_limit(dest_nb._route_table, addr))
+
+
 def plan_train(core: "CpuCore", addr: int, data) -> Optional["BulkTrain"]:
     """The train that carries the full lines of a WC store, or ``None``
     for the per-packet path: the train open on this core's northbridge
@@ -271,7 +291,9 @@ def plan_train(core: "CpuCore", addr: int, data) -> Optional["BulkTrain"]:
     one, unlaunched, if the store qualifies.  A train still open past
     its pipeline's drain is closed here, which changes nothing a
     per-packet run could observe; one still in flight is left to the
-    store's own submit to demote.
+    store's own submit to demote (a store bound elsewhere: another link
+    direction, a destination the next chip forwards to, or another
+    core's or a waiting call's store).
 
     Eligibility of a new train = (a) the store is aligned and has a full
     line (at least ``MIN_TRAIN_LINES`` while metrics are on or an armed
@@ -279,9 +301,10 @@ def plan_train(core: "CpuCore", addr: int, data) -> Optional["BulkTrain"]:
     source range routes out one local TCCluster link, (c) that link
     direction passes :meth:`~repro.sim.flows.MacroWindow.quiescent` and
     the posted queue is empty with its dispatcher parked, and (d) every
-    line lands in the destination's ready, untraced local DRAM through
-    one route row (so the lines are contiguous there).  Anything else:
-    per-packet.
+    line lands in the destination chip's ready, untraced local DRAM, one
+    route row covering the range on each side (so the lines are
+    contiguous there; a later segment of the train passes the same route
+    test at its own address).  Anything else: per-packet.
     """
     chip = core.chip
     sim = core.sim
@@ -311,10 +334,6 @@ def plan_train(core: "CpuCore", addr: int, data) -> Optional["BulkTrain"]:
     r = nb.route(addr)
     if r.kind is not RouteKind.MMIO_LOCAL_LINK or not r.writable:
         return None
-    src_tbl = nb._route_table
-    lim = _cover_limit(src_tbl, addr)
-    if addr + size > lim:
-        return None
     binding = chip.ports.get(r.dst_link)
     if binding is None:
         return None
@@ -343,18 +362,14 @@ def plan_train(core: "CpuCore", addr: int, data) -> Optional["BulkTrain"]:
     rxs = dt.nb_request_ns + dt.nb_iobridge_ns
     if rxs > ser:
         return None  # receive loop could fall behind the wire
-    rd = dest_nb.route(addr)
-    if rd.kind is not RouteKind.DRAM_LOCAL:
-        return None  # multi-hop stays per-packet
-    dst_tbl = dest_nb._route_table
-    dlim = _cover_limit(dst_tbl, addr)
-    if addr + size > dlim:
+    limit = _rows_end(nb, dest_nb, binding.port, addr)
+    if addr + size > limit:
         return None
     if not dest_nb._dram_ready():
         return None
     return BulkTrain(core, addr, binding, d, ser, prop, rxs,
                      _LINE.wire_bytes(link.timing.ht_crc_bytes), growable,
-                     min(lim, dlim), (src_tbl, dst_tbl))
+                     limit, (nb._route_table, dest_nb._route_table))
 
 
 def _wc_clear(wc, addr: int, size: int) -> bool:
@@ -372,8 +387,11 @@ class BulkTrain(MacroWindow):
     """One aggregate-fidelity packet train (see module docstring).
 
     Built by :func:`plan_train` only; every store call it carries runs
-    ``consumed = yield from train.run(data)`` from the core's WC store
-    path, which appends the call's lines.
+    ``consumed = yield from train.run(addr, data)`` from the core's WC
+    store path, which appends the call's lines as one segment.  The
+    train records each segment's source address (for the packets a
+    demotion rebuilds and a demoted call's per-packet finish); its
+    commit span keeps each segment's DRAM offset as one part.
     """
 
     # Defaults of the state that only appends, demotions and deferred
@@ -401,13 +419,17 @@ class BulkTrain(MacroWindow):
         super().__init__(core.sim)
         self.core = core
         self.nb = core.chip.nb
-        self.addr = addr
-        #: Lines so far; the next contiguous line is ``addr + K * 64``.
+        #: Lines so far.
         self.K = 0
         self.port = binding.port
         self.dir = direction
         dest_chip = binding.link.attached[direction.rx_side]
         self.dest_nb = dest_chip.nb
+        #: Source address of each segment's first line.
+        self._addrs = array("q")
+        #: Source address and DRAM offset of the next contiguous line.
+        self._next = addr
+        self._next_off = self.dest_nb._local_offset(addr)
         self.dest_mc = dest_chip.memctrl
         t = core.chip.timing
         self.F = t.wc_line_fill_ns
@@ -422,11 +444,11 @@ class BulkTrain(MacroWindow):
         txq_cap = direction.txq[VirtualChannel.POSTED].capacity
         self.capt = txq_cap if txq_cap is not None else sys.maxsize
         self.wire_per_pkt = wire_per_pkt
-        #: Whether later contiguous stores of the core may extend the
-        #: train; a train opened while metrics are on or an armed fault
-        #: may still act carries its one store only.
+        #: Whether later stores of the core may extend the train; a
+        #: train opened while metrics are on or an armed fault may still
+        #: act carries its one store only.
         self.growable = growable
-        self._limit = limit            # end of the contiguous route rows
+        self._limit = limit            # end of the last segment's rows
         self._tables = tables          # route tables the rows come from
         self.metrics_on = self.nb._m.enabled
         # Speculative calendar entry (a demotion revokes it if it has not
@@ -436,20 +458,31 @@ class BulkTrain(MacroWindow):
 
     def extends(self, core, addr: int, nlines: int) -> bool:
         """True when a store of ``nlines`` full lines at ``addr`` by
-        ``core`` continues this open train: same core, no store call of
-        the train still in progress (another process of the core may
-        store while one waits; its store goes per-packet and demotes the
-        train), the next contiguous line, the same route rows, and the WC
-        streaming fast path holds for every new line."""
-        if not (self.growable and core is self.core and self.wake is None
-                and addr == self.addr + self.K * CACHELINE):
+        ``core`` continues this open train as its next segment: the same
+        core, no store call of the train still in progress (another
+        process of the core may store while one waits; its store goes
+        per-packet and demotes the train), the route tables the train
+        opened with, an untraced destination controller, the WC streaming
+        fast path for every new line, and lines that take the train's
+        route.  The next contiguous line within the last segment's route
+        rows is the cheap first test (Figure 6's loop); any other address
+        qualifies when its lines go out the train's port and land in the
+        destination chip's local DRAM through one route row on each side.
+
+        Only the same core qualifies: the schedule chains each line's WC
+        fill after the one before it, and another core fills its lines in
+        parallel with this one's."""
+        if not (self.growable and core is self.core and self.wake is None):
             return False
         size = nlines * CACHELINE
-        return (addr + size <= self._limit
-                and self.nb._route_table is self._tables[0]
+        if not (self.nb._route_table is self._tables[0]
                 and self.dest_nb._route_table is self._tables[1]
                 and not self.dest_mc.tracer.enabled
-                and _wc_clear(core.wc, addr, size))
+                and _wc_clear(core.wc, addr, size)):
+            return False
+        return ((addr == self._next and addr + size <= self._limit)
+                or addr + size <= _rows_end(self.nb, self.dest_nb,
+                                            self.port, addr))
 
     # ------------------------------------------------------------------
     # The schedule recurrence (exact; see DESIGN.md "Adaptive fidelity")
@@ -550,9 +583,10 @@ class BulkTrain(MacroWindow):
     # ------------------------------------------------------------------
     # Appending a store call / completion
     # ------------------------------------------------------------------
-    def _append(self, data) -> None:
-        """Schedule the full lines of a store call starting now, open the
-        window on the first call, and grow the commit span.
+    def _append(self, addr: int, data) -> None:
+        """Schedule the full lines of a store call at ``addr`` starting
+        now as the train's next segment, open the window on the first
+        call, and grow the commit span by one part.
 
         The per-packet pipeline instants of each line:
 
@@ -569,7 +603,8 @@ class BulkTrain(MacroWindow):
         """
         self.c0 = c0 = self.K
         self.t_call = t = self.sim._now
-        s = schedule(t, len(data) // CACHELINE, self.F, self.TS, self.ser,
+        n = len(data) // CACHELINE
+        s = schedule(t, n, self.F, self.TS, self.ser,
                      self.capq, self.capt, self._series if c0 else None)
         if not c0:
             # the five per-line series, sized by the first call
@@ -579,18 +614,28 @@ class BulkTrain(MacroWindow):
         K = self.K = len(ss)
         self.t_end = self.accept[K - 1]
         self.t_final = max(self.putc[K - 1], ss[K - 1] + self.ser)
+        # The segment's DRAM offset: contiguous within its route rows,
+        # else through the rows of its own address (extends checked them).
+        size = n * CACHELINE
+        if addr == self._next and addr + size <= self._limit:
+            off = self._next_off
+        else:
+            off = self.dest_nb._local_offset(addr)
+            self._limit = _rows_end(self.nb, self.dest_nb, self.port, addr)
+        self._addrs.append(addr)
+        self._next = addr + size
+        self._next_off = off + size
         # The destination commits are one arithmetic span on the
         # controller instead of two calendar entries per line (see
         # repro.sim.flows.CommitSpan).
         times = _shifted(ss, c0, self._arrive)
         if c0:
-            self._span.extend(times, data)
+            self._span.extend(times, data, off)
             return
         self._claim(self.nb, self.dir)
         self.nb.counters.inc("train_windows")
-        self._span = CommitSpan(
-            self.sim, self.dest_mc, self.dest_nb,
-            self.dest_nb._local_offset(self.addr), data, times, CACHELINE)
+        self._span = CommitSpan(self.sim, self.dest_mc, self.dest_nb, off,
+                                data, times, CACHELINE)
         self._span.on_detach = self._finalize
 
     def _complete(self, _=None) -> None:
@@ -625,8 +670,12 @@ class BulkTrain(MacroWindow):
     # Demotion
     # ------------------------------------------------------------------
     def _make_pkt(self, i: int, coherent: bool):
+        """Line ``i`` as the per-packet run built it: the posted write of
+        its segment's source address."""
+        span = self._span
+        j, k = span.part_of(i)
         return self.nb._packets.posted_write(
-            self.addr + i * CACHELINE, self._span.line_data(i),
+            self._addrs[j] + k * CACHELINE, span.line_data(i),
             unitid=self.nb.nodeid, coherent=coherent)
 
     def _demote(self, T: float) -> None:
@@ -743,14 +792,15 @@ class BulkTrain(MacroWindow):
     # ------------------------------------------------------------------
     # The core-side driver
     # ------------------------------------------------------------------
-    def run(self, data):
+    def run(self, addr: int, data):
         """Generator driven from ``CpuCore._store_wc`` via ``yield from``:
-        append the full lines of ``data`` (a store at the train's next
-        line) and return the number of bytes fully handled (clean: all of
-        those lines, as soon as the last is accepted; demotion:
-        everything up to and including the in-flight line, finished here
-        exactly as the per-packet core would)."""
-        self._append(data)
+        append the full lines of ``data`` (a store at ``addr`` that
+        :meth:`extends` the train, or opens it) and return the number of
+        bytes fully handled (clean: all of those lines, as soon as the
+        last is accepted; demotion: everything up to and including the
+        in-flight line, finished here exactly as the per-packet core
+        would)."""
+        self._append(addr, data)
         c0, K = self.c0, self.K
         self.wake = Event(self.sim, name=self.nb.name)
         self._complete_e.arm(self.t_end, self._complete, None)
@@ -779,7 +829,7 @@ class BulkTrain(MacroWindow):
             yield remaining
         core = self.core
         base = (f - c0) * CACHELINE
-        for op in core.wc.store(self.addr + f * CACHELINE,
+        for op in core.wc.store(addr + base,
                                 memoryview(data)[base:base + CACHELINE]):
             ev = self.nb.submit_posted(op.addr, op.data, op.mask)
             if ev is not None:

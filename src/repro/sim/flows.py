@@ -227,12 +227,15 @@ class CommitSpan:
     entries: the rx stage's ``write_posted`` at the line's arrival and the
     memory controller's commit entry.  A ``CommitSpan`` eliminates both;
     it is the only way a :class:`~repro.opteron.train.BulkTrain` reaches
-    destination DRAM.  The lines are contiguous in DRAM (one route row
-    covers the train), so line ``i`` lands at ``off0 + i * line``.  A
-    train that grows appends to its span (:meth:`extend`); each store
-    call's payload is held by reference as one *part* starting at line
-    ``_starts[j]``.  The span registers the whole arrival schedule with
-    the controller and keeps three lazily-advanced cursors:
+    destination DRAM.  A train that grows appends to its span
+    (:meth:`extend`); each store call's payload is held by reference as
+    one *part* starting at line ``_starts[j]`` and landing at DRAM offset
+    ``_offs[j]`` (one route row covers each part, so its lines are
+    contiguous in DRAM; the parts of one span need not be).  Line ``i``
+    of part ``j`` lands at ``_offs[j] + (i - _starts[j]) * line``; lines
+    that land on one address land in line order, the later one last, as
+    per packet.  The span registers the whole arrival schedule with the
+    controller and keeps three lazily-advanced cursors:
 
     * ``_applied``  -- arrivals folded into the controller's FCFS port
       arithmetic (:meth:`_fold`).  Every fold goes through the
@@ -248,9 +251,10 @@ class CommitSpan:
       doorbell wake, the span's finalize entry, or a return from
       ``Simulator.run`` / ``run_until_event`` (the controller is listed
       in ``sim._span_hosts`` while it holds spans).
-    * deferred doorbell rings -- every watched range overlapping the span
-      is one ``(doorbell, i0, i1)`` record of the line indices it covers,
-      and the span registers as a *provider* on that doorbell, so
+    * deferred doorbell rings -- every run of lines of one part that
+      lands in a watched range is a ``(doorbell, i0, i1)`` record of its
+      line indices (adjacent runs of one doorbell merge), and the span
+      registers as a *provider* on that doorbell, so
       ``Doorbell.count`` reads fold in rings that exist arithmetically; a
       calendar entry is spent only when a consumer actually parks
       (:meth:`arm`).
@@ -263,7 +267,7 @@ class CommitSpan:
     (:meth:`truncate`); the per-packet path carries the rest.
     """
 
-    __slots__ = ("sim", "mc", "dest_nb", "off0", "_parts", "_starts",
+    __slots__ = ("sim", "mc", "dest_nb", "_parts", "_starts", "_offs",
                  "times", "K", "line", "occ", "_lat", "_c", "_applied",
                  "_flushed", "_recs", "_entries", "_fin", "_detached",
                  "on_detach")
@@ -272,11 +276,12 @@ class CommitSpan:
         self.sim = sim
         self.mc = mc
         self.dest_nb = dest_nb
-        self.off0 = off0              # DRAM offset of line 0
         #: Line payloads by reference: part ``j`` holds the lines from
-        #: ``_starts[j]`` on (one part per store call of the train).
+        #: ``_starts[j]`` on (one part per store call of the train) and
+        #: lands at DRAM offset ``_offs[j]``.
         self._parts = [data]
         self._starts = array("q", [0])
+        self._offs = array("q", [off0])
         # Per-line instants are packed doubles: as lists, the two series
         # of 64 concurrent 256 KiB trains would hold 16 MiB of float
         # objects, not 4 MiB.  NumPy sees them only through views taken
@@ -388,8 +393,7 @@ class CommitSpan:
         mc = self.mc
         line = self.line
         write = mc.memory.write_span
-        off0 = self.off0
-        starts, parts = self._starts, self._parts
+        starts, parts, offs = self._starts, self._parts, self._offs
         j = bisect_right(starts, f) - 1
         lo = f
         while lo < n:
@@ -399,9 +403,9 @@ class CommitSpan:
             if hi > n:
                 hi = n
             if lo == s0 and (hi - lo) * line == len(part):
-                write(off0 + lo * line, part)
+                write(offs[j], part)
             else:
-                write(off0 + lo * line,
+                write(offs[j] + (lo - s0) * line,
                       memoryview(part)[(lo - s0) * line:(hi - s0) * line])
             lo = hi
             j += 1
@@ -414,21 +418,33 @@ class CommitSpan:
                 db._count += hi - lo
         self._flushed = n
 
+    def part_of(self, i: int) -> Tuple[int, int]:
+        """``(j, k)``: line ``i`` is line ``k`` of part ``j``."""
+        j = bisect_right(self._starts, i) - 1
+        return j, i - self._starts[j]
+
     def line_data(self, i: int):
         """Payload of line ``i`` (a zero-copy span of its part)."""
-        j = bisect_right(self._starts, i) - 1
-        k = (i - self._starts[j]) * self.line
+        j, k = self.part_of(i)
+        k *= self.line
         return memoryview(self._parts[j])[k:k + self.line]
 
-    def extend(self, times, data) -> None:
+    def line_offset(self, i: int) -> int:
+        """DRAM offset line ``i`` lands at."""
+        j, k = self.part_of(i)
+        return self._offs[j] + k * self.line
+
+    def extend(self, times, data, off: int) -> None:
         """Append lines: their ``times`` of arrival and their payload
-        ``data``, held by reference as one more part.  Records of watched
-        ranges grow over the new lines, and a consumer already parked on
-        one of them gets its ring entry.  The finalize entry stays where
-        it is: it re-arms at the new last commit when it fires."""
+        ``data``, held by reference as one more part landing at DRAM
+        offset ``off``.  Records of watched ranges grow over the new
+        lines, and a consumer already parked on one of them gets its ring
+        entry.  The finalize entry stays where it is: it re-arms at the
+        new last commit when it fires."""
         K0 = self.K
         self._parts.append(data)
         self._starts.append(K0)
+        self._offs.append(off)
         self.times.extend(times)
         self.K = K0 + len(times)
         self._c.frombytes(bytes(8 * len(times)))
@@ -437,27 +453,35 @@ class CommitSpan:
 
     # -- watched ranges -------------------------------------------------------
     def _add_rec(self, lo: int, hi: int, db, first: int) -> None:
-        """Record the lines from ``first`` on that overlap DRAM range
-        ``[lo, hi)`` as ring sources of ``db``; a record ending at the
-        first new line grows instead.  A consumer parked before the
-        record existed (the usual receive pattern: park first, traffic
-        arrives later) never hit the park-time arming hook, so arm for
-        it here."""
+        """Record the lines from ``first`` on that land in DRAM range
+        ``[lo, hi)`` as ring sources of ``db``, one record per part that
+        has any; a record ending where a new one starts grows instead.  A
+        consumer parked before the record existed (the usual receive
+        pattern: park first, traffic arrives later) never hit the
+        park-time arming hook, so arm for it here."""
         line = self.line
-        i0 = max(first, (lo - self.off0) // line)
-        i1 = min(self.K, (hi - self.off0 + line - 1) // line)
-        if i0 >= i1:
-            return
-        recs = self._recs
-        for k, (d, r0, r1) in enumerate(recs):
-            if d is db and r1 == i0:
-                recs[k] = (db, r0, i1)
+        starts, offs, recs = self._starts, self._offs, self._recs
+        K = self.K
+        added = False
+        for j in range(bisect_right(starts, first) - 1, len(starts)):
+            s0 = starts[j]
+            if s0 >= K:
                 break
-        else:
-            if all(d is not db for d, _i0, _i1 in recs):
-                db._providers.append(self)
-            recs.append((db, i0, i1))
-        if db._waiters:
+            s1 = starts[j + 1] if j + 1 < len(starts) else K
+            i0 = max(first, s0, s0 + (lo - offs[j]) // line)
+            i1 = min(s1, K, s0 + (hi - offs[j] + line - 1) // line)
+            if i0 >= i1:
+                continue
+            added = True
+            for k, (d, r0, r1) in enumerate(recs):
+                if d is db and r1 == i0:
+                    recs[k] = (db, r0, i1)
+                    break
+            else:
+                if all(d is not db for d, _i0, _i1 in recs):
+                    db._providers.append(self)
+                recs.append((db, i0, i1))
+        if added and db._waiters:
             self.arm(db)
 
     def _next_ring(self, db) -> int:

@@ -126,13 +126,14 @@ def test_appends_reproduce_one_schedule(case):
         assert all(type(x) is float for x in g)
 
 
-def _store_calls(gaps, lens, fast):
+def _store_calls(gaps, lens, jumps, fast):
     """Per-line pipeline instants of store calls on the two-board
     prototype: call ``j`` stores ``lens[j]`` contiguous lines ``gaps[j]``
-    ns after the call before it returned.  Per packet they are read off
-    the live run (posted-queue accept, dispatcher pop, TX-queue put,
-    serialization start); with trains, from the series of every train
-    the calls opened or grew."""
+    ns after the call before it returned, at the line after the previous
+    call's, or at line ``jumps[j]`` of the window when that is not
+    ``None``.  Per packet they are read off the live run (posted-queue
+    accept, dispatcher pop, TX-queue put, serialization start); with
+    trains, from the series of every train the calls opened or grew."""
     from repro.bench.microbench import _RawWindow
     from repro.core import TCClusterSystem
     from repro.ht.packet import VirtualChannel
@@ -182,28 +183,42 @@ def _store_calls(gaps, lens, fast):
 
     trains = []
     data = bytes((i * 37 + 5) % 256 for i in range(64 * sum(lens)))
+    calls = []                     # (window line, data line, lines)
+    line = pos = 0
+    for n, jump in zip(lens, jumps):
+        if jump is not None:
+            line = jump
+        calls.append((line, pos, n))
+        line += n
+        pos += n
 
     def job():
-        line = 0
-        for gap, n in zip(gaps, lens):
+        for gap, (line, pos, n) in zip(gaps, calls):
             if gap:
                 yield gap
             yield from proc.store(win.tx_base + line * CACHELINE,
-                                  data[line * CACHELINE:
-                                       (line + n) * CACHELINE])
+                                  data[pos * CACHELINE:
+                                       (pos + n) * CACHELINE])
             if not fast:
                 seen["accept"].append(sim.now)
             elif nb._macro is not None and nb._macro not in trains:
                 trains.append(nb._macro)
-            line += n
 
     sim.process(job())
     with contextlib.ExitStack() as stack:
         for spy in spies:
             stack.enter_context(spy)
         sim.run()
+    # Every window line holds the data of the last call that stored it.
+    image = {}
+    for line, pos, n in calls:
+        for k in range(n):
+            image[line + k] = data[(pos + k) * CACHELINE:
+                                   (pos + k + 1) * CACHELINE]
     dest = cl.ranks[cl.rank_of(1, 1)]
-    assert dest.chip.memory.read(win.tx_base - dest.base, len(data)) == data
+    off = win.tx_base - dest.base
+    assert all(dest.chip.memory.read(off + line * CACHELINE, CACHELINE)
+               == want for line, want in image.items())
     if not fast:
         ser = binding.link.serialization_ns(train._LINE)
         seen["ss"] = [r.time - ser for r in tracer.records]
@@ -217,18 +232,24 @@ def _store_calls(gaps, lens, fast):
 @given(st.lists(st.tuples(
     st.one_of(st.just(0.0), st.sampled_from([4.0, 12.0, 20.0, 23.75, 55.75]),
               st.floats(0.0, 400.0, allow_nan=False)),
-    st.one_of(st.just(1), st.integers(1, 6))), min_size=1, max_size=60))
-@example([(0.0, 1)] * 40 + [(500.0, 1)] + [(23.75, 1)] * 20)
+    st.one_of(st.just(1), st.integers(1, 6)),
+    # Whether the call jumps to another line of the window, and where.
+    st.one_of(st.none(), st.integers(0, 255))), min_size=1, max_size=60))
+@example([(0.0, 1, None)] * 40 + [(500.0, 1, None)] + [(23.75, 1, None)] * 20)
 # Each call's line extends a train whose pipeline drained 0-32 ns ago.
-@example([(0.0, 1)] + [(75.75, 1)] * 30)
+@example([(0.0, 1, None)] + [(75.75, 1, None)] * 30)
+# A rendezvous message: a payload, a pause and one line elsewhere, which
+# the train carries as a segment of its own, then back to the payload's.
+@example([(0.0, 6, 16), (32.0, 1, 200), (0.0, 1, 22), (4.0, 1, 16)])
 def test_later_submissions_match_per_packet(calls):
     """A line submitted at any later instant -- back to back, mid-drain,
-    after the pipeline emptied -- gets the accept, pop, put and
-    serialization instants of the per-packet run."""
-    gaps = [g for g, _ in calls]
-    lens = [n for _, n in calls]
-    slow = _store_calls(gaps, lens, False)
-    fast = _store_calls(gaps, lens, True)
+    after the pipeline emptied -- and at any line of the window gets the
+    accept, pop, put and serialization instants of the per-packet run."""
+    gaps = [g for g, _, _ in calls]
+    lens = [n for _, n, _ in calls]
+    jumps = [j for _, _, j in calls]
+    slow = _store_calls(gaps, lens, jumps, False)
+    fast = _store_calls(gaps, lens, jumps, True)
     for key in ("accept", "pop", "putc", "ss"):
         want = slow[key]
         if key == "accept":
