@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import numpy as np
 import pytest
 
 from repro.sim import (
@@ -318,3 +319,116 @@ def test_nested_process_failure_propagates():
     sim.process(parent())
     with pytest.raises(ValueError, match="child blew up"):
         sim.run()
+
+
+# ---------------------------------------------------------------------------
+# Resume semantics: every way a process resumes classifies its next yield
+# the same way.
+# ---------------------------------------------------------------------------
+
+def _after_start(sim, me):
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
+def _after_sleep(sim, me):
+    yield 3.0
+
+
+def _after_event(sim, me):
+    ev = sim.event()
+    sim.schedule(3.0, ev.succeed, "ok")
+    assert (yield ev) == "ok"
+
+
+def _after_failed_event(sim, me):
+    ev = sim.event()
+    sim.schedule(3.0, ev.fail, RuntimeError("boom"))
+    try:
+        yield ev
+    except RuntimeError:
+        pass
+
+
+def _after_interrupt(sim, me):
+    sim.schedule(3.0, me[0].interrupt, "stop")
+    try:
+        yield 100.0  # its wake entry stays behind, stale
+    except Interrupt:
+        pass
+
+
+#: resume entry -> (what the process does before the yield under test,
+#: the instant of that yield, calendar pushes up to it)
+RESUME_ENTRIES = {
+    "start": (_after_start, 0.0, 1),
+    "sleep": (_after_sleep, 3.0, 2),
+    "event": (_after_event, 3.0, 3),
+    "failed_event": (_after_failed_event, 3.0, 3),
+    "interrupt": (_after_interrupt, 3.0, 4),
+}
+
+
+def _pending_event(sim, dispatched):
+    ev = sim.event()
+    sim.schedule(4.0, ev.succeed, "later")
+    return ev
+
+
+def _triggered_event(sim, dispatched):
+    ev = sim.event()
+    ev.succeed("now")  # no listener yet: its dispatch is not on the calendar
+    return ev
+
+
+def _child_process(sim, dispatched):
+    def child():
+        yield 4.0
+        return "child"
+
+    return sim.process(child())
+
+
+#: yield kind -> (target made at the yield, resume delay, value sent in,
+#: calendar pushes from the yield to the resume, exception it raises)
+YIELD_KINDS = {
+    "int": (lambda sim, d: 4, 4.0, None, 1, None),
+    "float": (lambda sim, d: 2.5, 2.5, None, 1, None),
+    "numpy_float64": (lambda sim, d: np.float64(1.5), 1.5, None, 1, None),
+    "none": (lambda sim, d: None, 0.0, None, 1, None),
+    "pending_event": (_pending_event, 4.0, "later", 2, None),
+    "triggered_event": (_triggered_event, 0.0, "now", 1, None),
+    "dispatched_event": (lambda sim, d: d, 0.0, "done", 1, None),
+    "process": (_child_process, 4.0, "child", 3, None),
+    "negative": (lambda sim, d: -1, None, None, 0, ValueError),
+    "unsupported": (lambda sim, d: "nonsense", None, None, 0, SimulationError),
+}
+
+
+@pytest.mark.parametrize("kind", YIELD_KINDS)
+@pytest.mark.parametrize("entry", RESUME_ENTRIES)
+def test_every_resume_entry_dispatches_every_yield_kind(entry, kind):
+    before, at, entry_pushes = RESUME_ENTRIES[entry]
+    make, delay, sent, kind_pushes, raises = YIELD_KINDS[kind]
+    sim = Simulator()
+    dispatched = sim.event("dispatched")
+    dispatched.succeed("done")
+    dispatched.add_callback(lambda ev: None)  # dispatches before any start
+    log = []
+    me = []
+
+    def proc():
+        yield from before(sim, me)
+        assert sim.now == at
+        got = yield make(sim, dispatched)
+        log.append((sim.now, got))
+
+    me.append(sim.process(proc()))
+    if raises is None:
+        sim.run()
+        assert log == [(at + delay, sent)]
+    else:
+        with pytest.raises(raises):
+            sim.run()
+        assert (sim.now, log) == (at, [])
+    assert sim.heap_pushes == 1 + entry_pushes + kind_pushes
