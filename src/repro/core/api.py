@@ -4,7 +4,7 @@ This is the entry point a downstream user works with:
 
 >>> from repro import TCClusterSystem
 >>> sys_ = TCClusterSystem.two_board_prototype()   # paper Figure 5
->>> sys_.boot()
+>>> _ = sys_.boot()
 >>> a, b = sys_.compute_ranks()[:2]
 >>> tx, rx = sys_.connect(a, b)
 >>> def sender():
@@ -14,7 +14,7 @@ This is the entry point a downstream user works with:
 ...     data = yield from rx.recv()
 ...     out.append(data)
 >>> out = []
->>> sys_.process(sender)
+>>> _ = sys_.process(sender)
 >>> done = sys_.process(receiver, out)
 >>> sys_.run_until(done)
 >>> out

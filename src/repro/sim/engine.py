@@ -23,6 +23,7 @@ Example
 ...     log.append(sim.now)
 >>> _ = sim.process(proc(sim))
 >>> sim.run()
+5.0
 >>> log
 [5.0]
 """
@@ -299,7 +300,8 @@ class Process(Event):
 
     The wrapped generator may yield:
 
-    * ``float | int`` -- sleep for that many time units,
+    * a number (any ``int`` or ``float``, subclasses such as
+      ``numpy.float64`` included) -- sleep for that many time units,
     * :class:`Event` -- wait until it triggers (its value is sent back in),
     * :class:`Process` -- wait for that process to finish,
     * ``None`` -- yield the processor for one zero-delay step.
@@ -325,7 +327,7 @@ class Process(Event):
         self._interrupts: List[Interrupt] = []
         self._wake_token = 0
         if start:
-            sim.schedule(0.0, self._resume, None, True)
+            sim.schedule(0.0, self._step, None)
 
     @property
     def is_alive(self) -> bool:
@@ -347,75 +349,28 @@ class Process(Event):
         exc = self._interrupts.pop(0)
         # Stale wakeup protection: detaching from the wait event makes
         # _on_wait_done ignore it, and bumping the token invalidates any
-        # fast-path sleep entry already sitting on the calendar.
+        # sleep entry already sitting on the calendar.
         self._waiting_on = None
         self._wake_token += 1
-        self._step(exc, throw=True)
-
-    def _resume(self, value: Any, ok: bool) -> None:
-        self._step(value if ok else value, throw=not ok)
+        self._step(exc, True)
 
     def _on_wait_done(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if self._waiting_on is not ev:
+        if self._triggered or self._waiting_on is not ev:
             return  # stale wakeup (we were interrupted meanwhile)
         self._waiting_on = None
-        if ev._ok is not True:
-            self._step(ev._value, throw=True)
-            return
-        # Success resume, inlined from _step (one frame per event wake is
-        # real money; the duplicated tail below must stay in lockstep with
-        # _step and _sleep_wake).
-        try:
-            target = self.gen.send(ev._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            raise SimulationError(
-                f"process {self.name!r} did not handle an Interrupt"
-            )
-        tt = type(target)
-        if tt is float or tt is int:
-            if target < 0:
-                raise ValueError(f"negative timeout delay: {target!r}")
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._seq += 1
-            sim._push_count += 1
-            _heappush(sim._heap,
-                      (sim._now + target, sim._seq, self._sleep_wake, (token,)))
-            return
-        if target is None:
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._seq += 1
-            sim._push_count += 1
-            _heappush(sim._heap,
-                      (sim._now, sim._seq, self._sleep_wake, (token,)))
-            return
-        if type(target) is Event or isinstance(target, Event):
-            self._waiting_on = target
-            cbs = target._callbacks
-            if cbs is None:
-                sim = self.sim
-                sim._push(sim._now, self._on_wait_done, (target,))
-                return
-            cbs.append(self._on_wait_done)
-            if target._triggered and not target._scheduled:
-                target._scheduled = True
-                target.sim._schedule_event(target)
-            return
-        self._wait_for(target)
+        self._step(ev._value, ev._ok is not True)
+
+    def _sleep_wake(self, token: int) -> None:
+        if self._triggered or token != self._wake_token:
+            return  # stale entry (interrupted meanwhile)
+        self._step(None)
 
     def _step(self, value: Any, throw: bool = False) -> None:
+        """The one resume dispatch: send ``value`` into the generator (or
+        throw it), then act on what the generator yields next."""
         try:
             if throw:
-                if isinstance(value, BaseException):
-                    target = self.gen.throw(value)
-                else:  # pragma: no cover - defensive
-                    target = self.gen.throw(SimulationError(repr(value)))
+                target = self.gen.throw(value)
             else:
                 target = self.gen.send(value)
         except StopIteration as stop:
@@ -425,125 +380,33 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} did not handle an Interrupt"
             )
-        # The two dominant yield kinds (plain sleeps and zero-delay steps)
-        # are handled inline -- one call frame per process step is real
-        # money at packet-stream scale.  ``type`` (not isinstance) keeps
-        # bool out and is faster on the exact-match hot path.
+        # Anything but a sleep is an event wait or an error.  ``type``
+        # lets the exact numeric types skip the isinstance checks.
         tt = type(target)
-        if tt is float or tt is int:
-            if target < 0:
-                raise ValueError(f"negative timeout delay: {target!r}")
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._seq += 1
-            sim._push_count += 1
-            _heappush(sim._heap,
-                      (sim._now + target, sim._seq, self._sleep_wake, (token,)))
-            return
-        if target is None:
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._seq += 1
-            sim._push_count += 1
-            _heappush(sim._heap,
-                      (sim._now, sim._seq, self._sleep_wake, (token,)))
-            return
-        # Event waits are the third dominant yield kind; registering the
-        # wake callback inline sheds the _wait_for frame.
-        if type(target) is Event or isinstance(target, Event):
-            self._waiting_on = target
-            cbs = target._callbacks
-            if cbs is None:
-                sim = self.sim
-                sim._push(sim._now, self._on_wait_done, (target,))
+        if tt is not float and tt is not int and target is not None:
+            if isinstance(target, Event):
+                self._waiting_on = target
+                target.add_callback(self._on_wait_done)
                 return
-            cbs.append(self._on_wait_done)
-            if target._triggered and not target._scheduled:
-                target._scheduled = True
-                target.sim._schedule_event(target)
-            return
-        self._wait_for(target)
-
-    def _wait_for(self, target: Any) -> None:
-        # Fast path: a numeric yield (or None for a zero-delay step) is a
-        # plain sleep.  Push the resume entry straight onto the calendar
-        # instead of allocating a Timeout plus a callback chain; the wake
-        # token invalidates the entry if an interrupt arrives first.
+            if not isinstance(target, (int, float)):
+                raise SimulationError(
+                    f"process {self.name!r} yielded unsupported value "
+                    f"{target!r} (expected Event, Process, number or None)"
+                )
+        # A sleep pushes one bare calendar entry instead of a Timeout and
+        # its callback chain; the wake token invalidates the entry if an
+        # interrupt arrives first.
+        sim = self.sim
         if target is None:
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._push(sim._now, self._sleep_wake, (token,))
-            return
-        if isinstance(target, (int, float)):
-            if target < 0:
-                raise ValueError(f"negative timeout delay: {target!r}")
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._push(sim._now + target, self._sleep_wake, (token,))
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported value "
-                f"{target!r} (expected Event, Process, number or None)"
-            )
-        self._waiting_on = target
-        # Inlined target.add_callback(self._on_wait_done): one method call
-        # per event wait is real money on the packet-stream hot path.
-        cbs = target._callbacks
-        if cbs is None:
-            self.sim.schedule(0.0, self._on_wait_done, target)
-            return
-        cbs.append(self._on_wait_done)
-        if target._triggered and not target._scheduled:
-            target._scheduled = True
-            target.sim._schedule_event(target)
-
-    def _sleep_wake(self, token: int) -> None:
-        if self._triggered or token != self._wake_token:
-            return  # stale entry (interrupted meanwhile)
-        # Sleep resume, inlined from _step (the single hottest calendar
-        # callback; see the lockstep note in _on_wait_done).
-        try:
-            target = self.gen.send(None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            raise SimulationError(
-                f"process {self.name!r} did not handle an Interrupt"
-            )
-        tt = type(target)
-        if tt is float or tt is int:
-            if target < 0:
-                raise ValueError(f"negative timeout delay: {target!r}")
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._seq += 1
-            sim._push_count += 1
-            _heappush(sim._heap,
-                      (sim._now + target, sim._seq, self._sleep_wake, (token,)))
-            return
-        if target is None:
-            sim = self.sim
-            self._wake_token = token = self._wake_token + 1
-            sim._seq += 1
-            sim._push_count += 1
-            _heappush(sim._heap,
-                      (sim._now, sim._seq, self._sleep_wake, (token,)))
-            return
-        if type(target) is Event or isinstance(target, Event):
-            self._waiting_on = target
-            cbs = target._callbacks
-            if cbs is None:
-                sim = self.sim
-                sim._push(sim._now, self._on_wait_done, (target,))
-                return
-            cbs.append(self._on_wait_done)
-            if target._triggered and not target._scheduled:
-                target._scheduled = True
-                target.sim._schedule_event(target)
-            return
-        self._wait_for(target)
+            at = sim._now
+        elif target < 0:
+            raise ValueError(f"negative timeout delay: {target!r}")
+        else:
+            at = sim._now + target
+        self._wake_token = token = self._wake_token + 1
+        sim._seq += 1
+        sim._push_count += 1
+        _heappush(sim._heap, (at, sim._seq, self._sleep_wake, (token,)))
 
 
 def _then(gen: ProcessGen, fn: Callable[[Any], None]):
@@ -557,7 +420,7 @@ class MacroEntry:
     :mod:`repro.sim.flows`) precompute a future and walk it with a single
     live calendar entry at a time; a demotion revokes whatever part of
     that future did not happen yet.  This wraps the
-    :meth:`Simulator._push_cancellable` / :meth:`Simulator._cancel` pair
+    :meth:`Simulator._push` / :meth:`Simulator._cancel` pair
     so the arm/fire/cancel bookkeeping (never cancel a fired entry, never
     double-arm) lives in one place instead of ad-hoc ``_seq`` fields.
     """
@@ -575,7 +438,7 @@ class MacroEntry:
     def arm(self, at: float, fn: Callable, args: Optional[tuple]) -> None:
         """Push the entry; the callback MUST call :meth:`fired` first."""
         assert self._seq is None, "macro entry armed twice"
-        self._seq = self.sim._push_cancellable(at, fn, args)
+        self._seq = self.sim._push(at, fn, args)
 
     def fired(self) -> None:
         """Mark the entry as executed (call at the top of the callback)."""
@@ -647,29 +510,22 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._push(self._now + delay, fn, args)
 
-    def _push(self, at: float, fn: Callable, args: Optional[tuple]) -> None:
-        """Internal hot-path push: no validation, ``args`` may be None."""
-        self._seq += 1
-        self._push_count += 1
-        _heappush(self._heap, (at, self._seq, fn, args))
+    def _push(self, at: float, fn: Callable, args: Optional[tuple]) -> int:
+        """Internal hot-path push: no validation, ``args`` may be None.
 
-    def _push_cancellable(self, at: float, fn: Callable,
-                          args: Optional[tuple]) -> int:
-        """:meth:`_push` returning a handle for :meth:`_cancel`.
-
-        A cancelled entry is skipped *without advancing the clock*, so a
-        speculative long-dated entry (e.g. an adaptive-fidelity train's
-        completion) leaves no trace once revoked -- a plain guarded no-op
-        would still drag ``now`` forward when the calendar drains early.
-        """
+        Returns the entry's seq, the handle :meth:`_cancel` takes."""
         self._seq += 1
         self._push_count += 1
         _heappush(self._heap, (at, self._seq, fn, args))
         return self._seq
 
     def _cancel(self, seq: int) -> None:
-        """Revoke a pending entry returned by :meth:`_push_cancellable`.
+        """Revoke a pending entry returned by :meth:`_push`.
 
+        A cancelled entry is skipped *without advancing the clock*, so a
+        speculative long-dated entry (e.g. an adaptive-fidelity train's
+        completion) leaves no trace once revoked -- a plain guarded no-op
+        would still drag ``now`` forward when the calendar drains early.
         Must only be called while the entry is still in the calendar:
         seqs are never reused, so cancelling a fired entry would leave a
         dead sentinel in the set forever.
@@ -822,14 +678,14 @@ class Simulator:
                         raise DeadlockError(
                             f"no more events but {ev.name!r} never triggered"
                         )
+                    if heap[0][0] > limit:
+                        raise DeadlockError(
+                            f"time limit {limit} exceeded waiting for {ev.name!r}"
+                        )
                     t, _seq, fn, args = heappop(heap)
                     if cancelled and _seq in cancelled:
                         cancelled.remove(_seq)
                         continue
-                    if t > limit:
-                        raise DeadlockError(
-                            f"time limit {limit} exceeded waiting for {ev.name!r}"
-                        )
                     self._now = t
                     if args:
                         fn(*args)

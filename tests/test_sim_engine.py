@@ -275,6 +275,16 @@ def test_run_until_event_deadlock_detection():
         sim.run_until_event(ev)
 
 
+def test_run_until_event_limit_keeps_the_entry_past_it():
+    sim = Simulator()
+    fired = []
+    sim.schedule(10.0, fired.append, "late")
+    with pytest.raises(DeadlockError):
+        sim.run_until_event(sim.event("never"), limit=5.0)
+    sim.run()
+    assert (fired, sim.now) == (["late"], 10.0)
+
+
 def test_max_events_guard():
     sim = Simulator()
 

@@ -314,7 +314,7 @@ def test_cancelled_entry_skipped_without_advancing_clock():
     sim = Simulator()
     fired = []
     sim.schedule(5.0, lambda: fired.append(sim.now))
-    seq = sim._push_cancellable(50.0, lambda: fired.append("never"), None)
+    seq = sim._push(50.0, lambda: fired.append("never"), None)
     sim._cancel(seq)
     sim.run()
     assert fired == [5.0]
@@ -326,8 +326,8 @@ def test_cancelled_entry_skipped_without_advancing_clock():
 def test_cancel_is_scoped_to_one_entry():
     sim = Simulator()
     fired = []
-    keep = sim._push_cancellable(3.0, lambda: fired.append("keep"), None)
-    drop = sim._push_cancellable(3.0, lambda: fired.append("drop"), None)
+    keep = sim._push(3.0, lambda: fired.append("keep"), None)
+    drop = sim._push(3.0, lambda: fired.append("drop"), None)
     assert keep != drop
     sim._cancel(drop)
     sim.run()
@@ -337,7 +337,7 @@ def test_cancel_is_scoped_to_one_entry():
 
 def test_cancelled_entry_skipped_in_run_until_event():
     sim = Simulator()
-    seq = sim._push_cancellable(40.0, lambda: None, None)
+    seq = sim._push(40.0, lambda: None, None)
     sim._cancel(seq)
     ev = sim.event()
     sim.schedule(2.0, ev.succeed)
