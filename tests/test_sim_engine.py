@@ -354,18 +354,14 @@ def _after_event(sim, me):
 def _after_failed_event(sim, me):
     ev = sim.event()
     sim.schedule(3.0, ev.fail, RuntimeError("boom"))
-    try:
+    with pytest.raises(RuntimeError, match="boom"):
         yield ev
-    except RuntimeError:
-        pass
 
 
 def _after_interrupt(sim, me):
     sim.schedule(3.0, me[0].interrupt, "stop")
-    try:
-        yield 100.0  # its wake entry stays behind, stale
-    except Interrupt:
-        pass
+    with pytest.raises(Interrupt):
+        yield 5.0  # its wake entry stays behind, stale, before any resume
 
 
 #: resume entry -> (what the process does before the yield under test,
