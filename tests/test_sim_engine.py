@@ -337,8 +337,7 @@ def test_nested_process_failure_propagates():
 # ---------------------------------------------------------------------------
 
 def _after_start(sim, me):
-    return
-    yield  # pragma: no cover - makes this a generator
+    yield from ()
 
 
 def _after_sleep(sim, me):
