@@ -224,26 +224,18 @@ def assert_equivalent(slow, fast):
 # Clean path: whole train collapses, nothing disturbs it
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("K", [1, 4, 5, 16, 64])
-def test_clean_bulk_store_exact(K):
-    slow = run_train_mode(K, fast=False)
-    fast = run_train_mode(K, fast=True)
-    assert_equivalent(slow, fast)
-    if K >= 4:
-        assert fast["train_windows"] >= 1, "fast path never engaged"
-    if K <= 5:
-        # Metrics keep a train to its one store call, so for larger K
-        # the probe store lands in the train's drain tail and demotes it
-        # (without metrics it extends the train, below).
-        assert fast["train_demotions"] == 0
+_CLEAN_K = (1, 4, 5, 16, 64)
 
 
-@pytest.mark.parametrize("K", [1, 4, 5, 16, 64])
-def test_clean_bulk_store_probe_extends_the_train(K):
+@pytest.mark.parametrize("K,metrics", (
+    [pytest.param(K, True, id=str(K)) for K in _CLEAN_K]
+    + [pytest.param(K, False, id=f"{K}-no-metrics") for K in _CLEAN_K]))
+def test_clean_bulk_store_exact(K, metrics):
     # The probe store rewrites the first lines while the train is on the
-    # wire: it extends the train as a segment of its own.
-    slow = run_train_mode(K, fast=False, metrics=False)
-    fast = run_train_mode(K, fast=True, metrics=False)
+    # wire: it extends the train as a segment of its own, metrics on or
+    # off (the depth samples of both segments are replayed).
+    slow = run_train_mode(K, fast=False, metrics=metrics)
+    fast = run_train_mode(K, fast=True, metrics=metrics)
     assert_equivalent(slow, fast)
     assert fast["train_windows"] == 1
     assert fast["train_demotions"] == 0
@@ -636,10 +628,10 @@ _LOOP_KINDS = (None, "submit", "send", "interrupt", "ber", "noncontig",
 
 
 def _line_loop_pair(K, loop, kind=None, t_off=None):
-    slow = run_train_mode(K, False, kind=kind, t_off=t_off, loop=loop,
-                          metrics=False)
-    fast = run_train_mode(K, True, kind=kind, t_off=t_off, loop=loop,
-                          metrics=False)
+    # Metrics on: the depth samples of grown, multi-segment and demoted
+    # trains are compared too.
+    slow = run_train_mode(K, False, kind=kind, t_off=t_off, loop=loop)
+    fast = run_train_mode(K, True, kind=kind, t_off=t_off, loop=loop)
     try:
         assert_equivalent(slow, fast)
     except AssertionError as exc:  # pragma: no cover - diagnostics
@@ -682,16 +674,48 @@ def test_line_loop_saves_events():
         f"{slow['events']} -> {fast['events']}")
 
 
-def test_line_loop_under_metrics_stays_per_packet():
-    # Metrics keep a train to one store call of at least MIN_TRAIN_LINES
-    # lines: the posted-queue depth samples of a train that grows are not
-    # modelled, so a loop of one-line stores opens none.
+def test_line_loop_under_metrics_rides_one_train():
+    # Metrics do not limit trains: the strict loop of one-line stores
+    # grows one train (the probe store, after the pipeline drained, opens
+    # a second) and replays the per-packet posted-queue depth samples.
     slow = run_train_mode(16, False, loop="strict")
     fast = run_train_mode(16, True, loop="strict")
     assert_equivalent(slow, fast)
     assert fast["snap"]["accumulators"], "no depth samples to compare"
-    # Only the probe store (4 lines in one call) opens a train.
-    assert fast["train_windows"] == 1
+    assert fast["train_windows"] == 2
+    assert fast["train_demotions"] == 0
+
+
+def _ring_allreduce(metrics):
+    """An 8 KiB ring allreduce on ``chain(2)`` with the default message
+    config: every chunk goes rendezvous, so no multi-slot eager message
+    (whose slot spans metrics switch off) runs.  Returns the calendar
+    entries it executed and the northbridges' train counters."""
+    from repro.bench.sweep_points import _drive_collective
+    from repro.core import TCClusterSystem
+    from repro.middleware import Communicator
+
+    system = TCClusterSystem(chain(2))
+    if metrics:
+        system.enable_metrics()
+    system.boot()
+    cl = system.cluster
+    comms = [Communicator.for_cluster(cl, r) for r in range(cl.nranks)]
+    elapsed, events = _drive_collective(system.sim, comms, "allreduce",
+                                        "ring", 8 * 1024)
+    trains = [{k: v for k, v in cl.ranks[r].chip.nb.counters.as_dict().items()
+               if k.startswith("train_")} for r in range(cl.nranks)]
+    return elapsed, events, trains
+
+
+def test_metrics_leave_the_calendar_alone():
+    # Outside multi-slot eager messages the registry only records: the
+    # run executes the same calendar entries and opens, grows and
+    # demotes the same trains with metrics on and off.
+    off = _ring_allreduce(metrics=False)
+    on = _ring_allreduce(metrics=True)
+    assert on == off
+    assert sum(t["train_windows"] for t in on[2]) > 0
 
 
 def _loop_fuzz_cases(seed, n):
