@@ -6,9 +6,7 @@ commit the updated JSON together with the change::
     PYTHONPATH=src python -m repro.obs.regen_goldens [outdir]
 
 ``outdir`` defaults to ``<repo>/tests/golden`` resolved relative to this
-file.  Pass ``--fast`` to skip the slow 4 MiB Figure 6 points (the
-checked-in goldens include them; a fast regen preserves the previous slow
-values if the file already exists).
+file.
 """
 
 from __future__ import annotations
@@ -17,11 +15,11 @@ import argparse
 import os
 from typing import Optional
 
-from .golden import load_golden, save_golden
+from .golden import save_golden
 from .scenarios import (
     CANONICAL_TOLERANCES,
     FIG6_GOLDEN_SIZES,
-    FIG6_SLOW_SIZES,
+    FIG6_SUSTAINED_SIZES,
     FIG7_GOLDEN_SLOTS,
     FIGURE_TOLERANCES,
     run_canonical_2node,
@@ -37,21 +35,7 @@ def default_golden_dir() -> str:
     return os.path.join(repo, "tests", "golden")
 
 
-def _carry_forward_slow_fig6(path: str, metrics: dict) -> dict:
-    """Preserve fig6.<mode>.<slow size> keys from an existing file."""
-    if not os.path.exists(path):
-        return metrics
-    old = load_golden(path).get("metrics", {})
-    for size in FIG6_SLOW_SIZES:
-        for mode in ("weak", "strict"):
-            key = f"fig6.{mode}.{size}.mbps"
-            if key in old and key not in metrics:
-                metrics[key] = old[key]
-    return metrics
-
-
-def regenerate(outdir: Optional[str] = None, fast: bool = False,
-               verbose: bool = True) -> None:
+def regenerate(outdir: Optional[str] = None, verbose: bool = True) -> None:
     outdir = outdir or default_golden_dir()
     os.makedirs(outdir, exist_ok=True)
 
@@ -66,27 +50,19 @@ def regenerate(outdir: Optional[str] = None, fast: bool = False,
                 tolerances=CANONICAL_TOLERANCES)
     note("  canonical_2node.json written")
 
-    # Fast and slow figure points run on *separate* fresh prototypes, in
-    # exactly the configuration the tests use -- sweep state (window wrap,
-    # simulator clock) must match between regen and regression run.
+    # The representative and the sustained figure points run on
+    # *separate* fresh prototypes, in exactly the configuration the tests
+    # use -- sweep state (window wrap, simulator clock) must match between
+    # regen and regression run.
     figures = run_golden_figures(fig6_sizes=FIG6_GOLDEN_SIZES,
                                  fig7_slots=FIG7_GOLDEN_SLOTS)
-    if not fast:
-        slow = run_golden_figures(fig6_sizes=FIG6_SLOW_SIZES, fig7_slots=())
-        figures["fig6"].update(slow["fig6"])
+    sustained = run_golden_figures(fig6_sizes=FIG6_SUSTAINED_SIZES,
+                                   fig7_slots=())
+    figures["fig6"].update(sustained["fig6"])
 
-    fig6_path = os.path.join(outdir, "fig6_bandwidth.json")
-    carried = _carry_forward_slow_fig6(fig6_path, {}) if fast else {}
-    doc = save_golden(fig6_path, {"fig6": figures["fig6"]},
-                      tolerances=FIGURE_TOLERANCES)
-    if carried:
-        doc["metrics"].update(carried)
-        import json
-        with open(fig6_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    note("  fig6_bandwidth.json written"
-         + (" (fast points; slow carried forward if present)" if fast else ""))
+    save_golden(os.path.join(outdir, "fig6_bandwidth.json"),
+                {"fig6": figures["fig6"]}, tolerances=FIGURE_TOLERANCES)
+    note("  fig6_bandwidth.json written")
 
     save_golden(os.path.join(outdir, "fig7_latency.json"),
                 {"fig7": figures["fig7"]}, tolerances=FIGURE_TOLERANCES)
@@ -96,10 +72,8 @@ def regenerate(outdir: Optional[str] = None, fast: bool = False,
 def main() -> None:  # pragma: no cover - thin CLI
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("outdir", nargs="?", default=None)
-    ap.add_argument("--fast", action="store_true",
-                    help="skip the 4 MiB Figure 6 points")
     args = ap.parse_args()
-    regenerate(args.outdir, fast=args.fast)
+    regenerate(args.outdir)
 
 
 if __name__ == "__main__":  # pragma: no cover

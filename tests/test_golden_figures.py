@@ -3,9 +3,10 @@
 Three representative points per figure run against
 ``tests/golden/fig6_bandwidth.json`` / ``fig7_latency.json`` with an
 explicit 3% tolerance: small-message bandwidth, the buffering peak, the
-msglib latency curve.  The 4 MiB sustained-bandwidth points take tens of
-seconds of simulation and run under ``-m slow`` only (CI's scheduled
-job; ``python -m repro.obs.regen_goldens`` regenerates everything).
+msglib latency curve.  The 4 MiB sustained-bandwidth points run on a
+prototype of their own; one open-ended WC train carries each, so they
+take a few seconds (``python -m repro.obs.regen_goldens`` regenerates
+everything).
 """
 
 import os
@@ -19,7 +20,7 @@ from repro.obs.golden import (
 )
 from repro.obs.scenarios import (
     FIG6_GOLDEN_SIZES,
-    FIG6_SLOW_SIZES,
+    FIG6_SUSTAINED_SIZES,
     FIG7_GOLDEN_SLOTS,
     run_golden_figures,
 )
@@ -30,8 +31,9 @@ FIG7 = os.path.join(GOLDEN_DIR, "fig7_latency.json")
 
 
 def _fig6_golden_subset(sizes):
-    """The fig6 golden holds both fast and slow points; each test runs
-    one set, so compare against only the matching keys."""
+    """The fig6 golden holds both the representative and the sustained
+    points; each test runs one set, so compare against only the matching
+    keys."""
     golden = load_golden(FIG6)
     golden["metrics"] = {
         k: v for k, v in golden["metrics"].items()
@@ -66,10 +68,10 @@ def test_goldens_cover_the_paper_anchors():
     assert fig7["fig7.slots1.hrt_ns"] == pytest.approx(227, rel=0.08)
 
 
-@pytest.mark.slow
 def test_fig6_sustained_bandwidth_matches_golden():
     """4 MiB streams: the ~2700 MB/s weak / ~2000 MB/s strict plateaus."""
-    points = run_golden_figures(fig6_sizes=FIG6_SLOW_SIZES, fig7_slots=())
+    points = run_golden_figures(fig6_sizes=FIG6_SUSTAINED_SIZES,
+                                fig7_slots=())
     violations = compare_to_golden({"fig6": points["fig6"]},
-                                   _fig6_golden_subset(FIG6_SLOW_SIZES))
+                                   _fig6_golden_subset(FIG6_SUSTAINED_SIZES))
     assert not violations, "\n".join(violations)
