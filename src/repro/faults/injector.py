@@ -46,12 +46,11 @@ class FaultInjector:
     and leaves the run bit-identical to a fault-free one.
     """
 
-    def __init__(self, cluster: "TCCluster", plan: FaultPlan,
-                 route_manager: Optional[RouteManager] = None):
+    def __init__(self, cluster: "TCCluster", plan: FaultPlan):
         self.cluster = cluster
         self.sim = cluster.sim
         self.plan = plan
-        self.routes = route_manager or RouteManager(cluster, pressure_flood=True)
+        self.routes = RouteManager(cluster)
         #: ``(fire_time_ns, event)`` log of everything actually injected.
         self.fired: List[Tuple[float, FaultEvent]] = []
         #: ``(event, reason)`` log of plan conflicts dropped by

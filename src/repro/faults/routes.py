@@ -37,7 +37,8 @@ FATAL_ROUTE_VECTOR = 0x7C
 
 
 class RouteError(RuntimeError):
-    """Recovery routing cannot be expressed (register pressure...)."""
+    """Recovery routing was asked of an unbooted cluster or of a link that
+    is not one of its TCC links."""
 
 
 class RouteManager:
@@ -48,21 +49,17 @@ class RouteManager:
     :meth:`route_around` calls, so successive kills compose.
     """
 
-    def __init__(self, cluster: "TCCluster", pressure_flood: bool = False):
+    def __init__(self, cluster: "TCCluster"):
         self.cluster = cluster
         self.sim = cluster.sim
         #: Edges removed from routing so far (parallel to killed links).
         self.dead_edges: List[TccEdge] = []
         #: (src, dst) supernode pairs with no surviving path.
         self.unreachable: List[Tuple[int, int]] = []
-        #: Register-pressure policy: ``False`` raises :class:`RouteError`
-        #: when a supernode's post-fault map exceeds the 16 MMIO pairs
-        #: (the analytical mode -- callers want the hard verdict);
-        #: ``True`` degrades that supernode to the sync-flood path
-        #: instead -- windows disabled, fatal vector broadcast -- so a
-        #: mid-recovery overflow cannot wedge a chaos run half-programmed.
-        self.pressure_flood = pressure_flood
-        #: Supernodes degraded by register pressure (flood mode).
+        #: Supernodes whose post-fault map exceeded the 16 MMIO pairs and
+        #: were degraded to the sync-flood path (windows disabled, fatal
+        #: vector broadcast), so a mid-recovery overflow cannot wedge a
+        #: run half-programmed.
         self.pressure_flooded: List[int] = []
 
     # ------------------------------------------------------------------
@@ -124,11 +121,6 @@ class RouteManager:
                     mmio.append(MmioDirective(b, l, exit_node, exit_port))
             board = cluster.boards[s]
             if len(mmio) > NUM_MMIO_ENTRIES:
-                if not self.pressure_flood:
-                    raise RouteError(
-                        f"supernode {s}: post-fault routing needs {len(mmio)} "
-                        f"MMIO intervals, registers hold {NUM_MMIO_ENTRIES}"
-                    )
                 # Register pressure: the post-fault map cannot be
                 # expressed in 16 pairs.  A half-programmed window set
                 # would silently misroute, so degrade the whole

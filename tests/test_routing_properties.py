@@ -159,9 +159,10 @@ def check_route_around(topo, nps, seed, kills, n_probes=40, require_fit=False):
     The abstract post-fault map is always delivery-correct; whether it
     *fits* the 16-entry register file is a separate question.  At large
     scale BFS detours can fragment the intervals past the register file,
-    which is exactly when ``RouteManager._reprogram`` raises RouteError
-    instead of programming a wrong map -- so fit is only asserted where
-    the caller knows the scale guarantees it (``require_fit``)."""
+    which is exactly when ``RouteManager._reprogram`` degrades the
+    supernode to the sync-flood path instead of programming a wrong map
+    -- so fit is only asserted where the caller knows the scale
+    guarantees it (``require_fit``)."""
     rng = random.Random(seed)
     amap = uniform_cluster(topo, M, nodes_per_supernode=nps)
     ranges = amap.supernode_ranges
