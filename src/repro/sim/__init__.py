@@ -26,7 +26,6 @@ from .trace import (
     NULL_TRACER,
     Counter,
     IntervalAccumulator,
-    OnlineStats,
     Tracer,
     TraceRecord,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TraceRecord",
     "NULL_TRACER",
     "Counter",
-    "OnlineStats",
     "IntervalAccumulator",
     "SweepPoint",
     "PointResult",

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["TraceRecord", "Tracer", "Counter", "OnlineStats", "IntervalAccumulator"]
+__all__ = ["TraceRecord", "Tracer", "Counter", "IntervalAccumulator"]
 
 
 @dataclass(frozen=True)
@@ -94,44 +94,6 @@ class Counter:
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)
-
-
-class OnlineStats:
-    """Streaming mean/min/max/variance (Welford) for latency samples."""
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        d = x - self._mean
-        self._mean += d / self.n
-        self._m2 += d * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else float("nan")
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return self.variance ** 0.5
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<OnlineStats n={self.n} mean={self.mean:.3f}>"
 
 
 @dataclass

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Counter, IntervalAccumulator, OnlineStats, Tracer
+from repro.sim import Counter, IntervalAccumulator, Tracer
 from repro.util import (
     CACHELINE,
     bandwidth_mbps,
@@ -134,16 +134,6 @@ def test_tracer_keep_limit():
         tr.emit(float(i), "c", "e")
     assert len(tr) == 2
     assert tr.records[0].time == 3.0
-
-
-def test_online_stats():
-    s = OnlineStats()
-    for x in (1.0, 2.0, 3.0, 4.0):
-        s.add(x)
-    assert s.n == 4
-    assert s.mean == pytest.approx(2.5)
-    assert s.min == 1.0 and s.max == 4.0
-    assert s.variance == pytest.approx(5.0 / 3.0)
 
 
 def test_counter():
