@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 from ..ht.link import LinkDownError
 from ..obs.metrics import fault_counters, flow_counters, metrics_for
-from ..sim.flows import plan_eager_span
 from ..util.units import CACHELINE
 from .config import (
     HELLO_MARKER,
@@ -44,7 +43,7 @@ from .slots import (
     pack_feedback,
     pack_hello,
     pack_rendezvous_control,
-    pack_slot,
+    pack_slots,
     slots_needed,
     unpack_feedback,
     unpack_feedback_epoch,
@@ -266,69 +265,55 @@ class Endpoint:
         return self.tx_ring_addr + ((seq - 1) % self.cfg.nslots) * SLOT_BYTES
 
     def _send_eager(self, data: bytes, mode: str):
-        remaining = len(data)
-        pos = 0
-        # Slot spans (DESIGN.md section 12): coalesce a run of ring
-        # slots into one contiguous multi-line store so it can ride the
-        # bulk-train fast path.  Virtual-time neutral: the per-slot path
-        # below issues the same back-to-back line stores with zero
-        # virtual time between the calls.  Gated off under metrics --
-        # the per-slot ring-occupancy samples carry per-slot timestamps
-        # that coalescing would collapse onto one instant.
+        # Slot spans (DESIGN.md section 12): each store call writes a run
+        # of consecutive ring slots as one contiguous store, so a run of
+        # two or more rides the bulk-train fast path.  Virtual-time
+        # neutral: one slot per call issues the same back-to-back line
+        # stores with zero virtual time between the calls.  A run is one
+        # slot in strict mode (an sfence follows every slot), with
+        # fidelity off, under metrics (the ring-occupancy samples carry
+        # per-slot timestamps that a run would collapse onto one
+        # instant), and until every armed link-down or credit-stall fault
+        # has acted, a flap's revive included (a train hit by one does
+        # not demote exactly).
         sim = self.sim
         spans = (mode == "weak" and not self._m.enabled
                  and sim.features.adaptive_fidelity)
+        nslots = self.cfg.nslots
+        remaining = len(data)
+        pos = 0
         while remaining > 0:
-            if spans and remaining > SLOT_PAYLOAD:
-                # Refresh the window first when it is exhausted -- the
-                # same stall the per-slot path would take below -- so the
-                # whole run is planned against the replenished window
-                # instead of dribbling its first slot out individually.
-                if self._free_tx_slots() == 0:
-                    yield from self._wait_tx_slots(1)
-                # No span until every armed link-down or credit-stall
-                # fault has acted (a flap's revive included): a train
-                # hit by one does not demote exactly.
-                planned = None
-                if sim._now > sim._train_faults_until:
-                    planned = plan_eager_span(
-                        self.send_seq + 1, self.cfg.nslots,
-                        self._free_tx_slots(), data, pos, remaining,
-                        pack_slot, SLOT_PAYLOAD)
-                if planned is not None:
-                    n, span, chunk_lens = planned
-                    fl = flow_counters(self.sim)
+            yield from self._wait_tx_slots(1)
+            seq0 = self.send_seq + 1
+            n = 1
+            if (spans and remaining > SLOT_PAYLOAD
+                    and sim._now > sim._train_faults_until):
+                # Bounded by the message, by the transmit window (sampled
+                # once: acknowledgements only ever grow it, so a run that
+                # fits now also fits slot by slot) and by the ring wrap
+                # (slots are contiguous in memory only up to its end).
+                n = min(-(-remaining // SLOT_PAYLOAD), self._free_tx_slots(),
+                        nslots - (seq0 - 1) % nslots)
+                if n > 1:
+                    fl = flow_counters(sim)
                     fl.slot_windows += 1
                     fl.slot_slots += n
-                    seq0 = self.send_seq + 1
-                    addr0 = self._slot_tx_addr(seq0)
-                    yield from self.proc.store(addr0, span)
-                    if self._send_deadline is not None:
-                        for i in range(n):
-                            self._unacked.append(
-                                (seq0 + i, addr0 + i * SLOT_BYTES,
-                                 span[i * SLOT_BYTES:(i + 1) * SLOT_BYTES],
-                                 None, None))
-                    self.send_seq = seq0 + n - 1
-                    self._note_occupancy()
-                    sent = sum(chunk_lens)
-                    pos += sent
-                    remaining -= sent
-                    continue
-            yield from self._wait_tx_slots(1)
-            seq = self.send_seq + 1
-            chunk = data[pos : pos + SLOT_PAYLOAD]
-            slot = pack_slot(seq, remaining, chunk)
-            yield from self.proc.store(self._slot_tx_addr(seq), slot)
+            image = pack_slots(seq0, n, data, pos, remaining)
+            addr0 = self._slot_tx_addr(seq0)
+            yield from self.proc.store(addr0, image)
             if self._send_deadline is not None:
-                self._unacked.append((seq, self._slot_tx_addr(seq), slot,
-                                      None, None))
+                for i in range(n):
+                    self._unacked.append(
+                        (seq0 + i, addr0 + i * SLOT_BYTES,
+                         image[i * SLOT_BYTES:(i + 1) * SLOT_BYTES],
+                         None, None))
             if mode == "strict":
                 yield from self.proc.sfence()
-            self.send_seq = seq
+            self.send_seq = seq0 + n - 1
             self._note_occupancy()
-            pos += len(chunk)
-            remaining -= len(chunk)
+            sent = min(remaining, n * SLOT_PAYLOAD)
+            pos += sent
+            remaining -= sent
 
     def _send_rendezvous(self, data: bytes, mode: str):
         need = -(-len(data) // CACHELINE) * CACHELINE  # round up to lines

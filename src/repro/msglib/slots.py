@@ -31,6 +31,7 @@ from .config import (
 
 __all__ = [
     "pack_slot",
+    "pack_slots",
     "unpack_header",
     "unpack_payload",
     "pack_rendezvous_control",
@@ -66,6 +67,21 @@ def pack_slot(seq: int, length: int, payload: bytes) -> bytes:
     if len(payload) > SLOT_PAYLOAD:
         raise ValueError(f"payload {len(payload)} exceeds {SLOT_PAYLOAD}")
     return _HDR.pack(seq, length) + payload.ljust(SLOT_PAYLOAD, b"\x00")
+
+
+def pack_slots(seq0: int, n: int, data: bytes, pos: int,
+               remaining: int) -> bytes:
+    """The images of ``n`` consecutive slots from ``seq0`` on, as one
+    contiguous ``n * 64``-byte run carrying ``data[pos:]``, of which
+    ``remaining`` bytes are still to send: each slot's length field is
+    the message bytes remaining at that slot."""
+    parts = []
+    for seq in range(seq0, seq0 + n):
+        chunk = data[pos:pos + SLOT_PAYLOAD]
+        parts.append(pack_slot(seq, remaining, chunk))
+        pos += len(chunk)
+        remaining -= len(chunk)
+    return b"".join(parts)
 
 
 def unpack_header(raw: bytes, offset: int = 0) -> Tuple[int, int]:

@@ -75,7 +75,7 @@ class SimFeatures:
     #: one arithmetic span (``CommitSpan``), same-route remote read
     #: chains (``ReadFlow``), and runs of msglib eager ring slots
     #: coalesced into one span store that rides a train
-    #: (``plan_eager_span``).  Each demotes back to per-packet mode the
+    #: (``Endpoint._send_eager``).  Each demotes back to per-packet mode the
     #: instant anything else touches the involved queues (see
     #: repro.opteron.train and repro.sim.flows).
     adaptive_fidelity: bool = True

@@ -4,7 +4,7 @@
 class -- WC line stores over a quiescent link -- by replacing the per-packet
 pipeline with a closed-form schedule plus an *exact demotion* path that
 reconstructs per-packet state at an arbitrary instant.  This module
-carries the pattern to the train's destination and to two more classes:
+carries the pattern to the train's destination and to remote reads:
 
 * **destination commit spans** (:class:`CommitSpan`): a train's per-line
   DRAM commits become one arithmetic span on the destination memory
@@ -21,15 +21,13 @@ carries the pattern to the train's destination and to two more classes:
   per-packet issue instant, so port arbitration against unrelated local
   traffic (receive-side polling!) stays exact.
 
-* **msglib ring slot traffic** (:func:`plan_eager_span`): an uncontended
-  run of eager ring-slot writes is coalesced into one contiguous
-  multi-line store, which then rides the existing bulk-train machinery.
-  The coalescing itself is *virtual-time neutral by construction*: the
-  per-slot path issues back-to-back 64-byte WC stores with zero virtual
-  time between the store calls, so a single span store walks the same
-  fill/stream schedule line for line.  Exact per-slot timestamps on
-  demotion therefore come for free -- the train's own demotion replays the
-  identical per-line instants.
+msglib's slot spans need nothing here: ``Endpoint._send_eager`` writes a
+run of eager ring slots as one contiguous multi-line store, which rides
+the bulk train.  The coalescing is *virtual-time neutral by
+construction*: one slot per call issues back-to-back 64-byte WC stores
+with zero virtual time between the store calls, so a run walks the same
+fill/stream schedule line for line, and the train's own demotion replays
+the identical per-line instants.
 
 Contract (DESIGN.md section 12): :class:`ReadFlow` and the bulk train are
 :class:`MacroWindow` subclasses.  A window may only *promote* while every
@@ -51,7 +49,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -59,8 +57,7 @@ from ..ht.packet import make_read_response
 from ..obs.metrics import flow_counters
 from .engine import MacroEntry
 
-__all__ = ["MacroWindow", "demote_windows", "plan_eager_span", "CommitSpan",
-           "ReadFlow"]
+__all__ = ["MacroWindow", "demote_windows", "CommitSpan", "ReadFlow"]
 
 _INF = float("inf")
 
@@ -168,52 +165,6 @@ def _account_tx(d, pkt, ser: float) -> None:
     s.payload_bytes += len(pkt.data)
     s.wire_bytes += pkt.wire_bytes(d.link._crc_bytes)
     s.busy_ns += ser
-
-
-# ---------------------------------------------------------------------------
-# msglib ring slot traffic: span coalescing
-# ---------------------------------------------------------------------------
-
-def plan_eager_span(seq0: int, nslots: int, free_slots: int,
-                    data: bytes, pos: int, remaining: int,
-                    pack_slot, slot_payload: int
-                    ) -> Optional[Tuple[int, bytes, List[int]]]:
-    """Plan the largest coalescible run of eager ring slots.
-
-    Returns ``(n, span, chunk_lens)`` -- the number of slots, the packed
-    ``n * 64``-byte contiguous slot image starting at ``seq0``'s ring
-    address, and each slot's payload length -- or ``None`` when no run of
-    at least two slots is possible.  The run is bounded by the message's
-    remaining payload, by the transmit window (``free_slots``, sampled
-    once: acknowledgements only ever *grow* the window, so a run that
-    fits now also fits slot by slot), and by the ring wrap (slots are
-    contiguous in memory only up to the ring's end).
-
-    Pure planning: no simulation state is touched.  The caller stores the
-    span through the ordinary WC path, which is schedule-identical to the
-    per-slot stores it replaces (see the module docstring) and eligible
-    for the train collapse.
-    The caller plans only under ``adaptive_fidelity``, for weak-mode
-    sends without a metrics sampler, and only once ``sim.now`` is past
-    ``sim._train_faults_until``, so no injected link-down or credit
-    stall can hit the train.
-    """
-    msg_slots = (remaining + slot_payload - 1) // slot_payload
-    run = nslots - ((seq0 - 1) % nslots)   # contiguity ends at the wrap
-    n = min(msg_slots, free_slots, run)
-    if n < 2:
-        return None
-    parts = []
-    chunk_lens = []
-    rem = remaining
-    p = pos
-    for i in range(n):
-        chunk = data[p : p + slot_payload]
-        parts.append(pack_slot(seq0 + i, rem, chunk))
-        chunk_lens.append(len(chunk))
-        p += len(chunk)
-        rem -= len(chunk)
-    return n, b"".join(parts), chunk_lens
 
 
 # ---------------------------------------------------------------------------
