@@ -69,7 +69,10 @@ class UserProcess:
         return self.kernel.board.chips.index(self.core.chip)
 
     # -- memory access (page-table checked, executed on the bound core) -----
-    def store(self, addr: int, data: bytes):
+    def store(self, addr: int, data: bytes, accepts=None):
+        """Store ``data`` at ``addr``.  ``accepts``, a list, receives the
+        instant each line of a WC store is accepted into the posted queue
+        (when a one-line store of that line would have returned)."""
         m = self.pagetable.check_store(addr, len(data))
         # The mapping's memory type (PAT) governs user accesses.  The
         # mtype dispatch is inlined here (instead of delegating through
@@ -83,7 +86,7 @@ class UserProcess:
         if mtype is None:
             mtype = core.chip.mtrr.type_for_range(addr, len(data))
         if mtype is MemoryType.WC:
-            yield from core._store_wc(addr, data)
+            yield from core._store_wc(addr, data, accepts)
         elif mtype is MemoryType.UC:
             yield from core._store_uc(addr, data)
         else:

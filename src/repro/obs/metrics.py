@@ -253,10 +253,12 @@ def enable_metrics(sim) -> MetricsRegistry:
     """Turn on metrics collection for ``sim``; returns the registry.
 
     Raises :class:`~repro.sim.engine.SimulationError` while a macro
-    window is open (``run(until=)`` stopped inside one): its deferred
-    effects, such as a slot span's per-slot ring-occupancy samples,
-    cannot be recorded after the fact.  Enable before the traffic, or
-    once the run has drained."""
+    window is open (``run(until=)`` stopped inside one): what a window
+    replays is fixed when it opens -- a train's posted-queue depth
+    samples, and a slot span's per-slot ring-occupancy samples, taken at
+    accept instants its store call asks for only under metrics -- so the
+    samples due after the enable would be missing.  Enable before the
+    traffic, or once the run has drained."""
     if sim._windows:
         raise SimulationError(
             f"cannot enable metrics at t={sim.now}: {len(sim._windows)} "

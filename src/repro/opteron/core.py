@@ -74,7 +74,8 @@ class CpuCore:
         else:
             yield from self._store_wb(addr, data)
 
-    def _store_wc(self, addr: int, data: bytes):
+    def _store_wc(self, addr: int, data: bytes, accepts=None):
+        """WC store path; ``accepts`` as in ``UserProcess.store``."""
         t = self.chip.timing
         fill_ns = t.wc_line_fill_ns
         nb = self.chip.nb
@@ -89,7 +90,7 @@ class CpuCore:
             # (repro.opteron.train); per-packet again on demotion.
             train = plan_train(self, addr, data)
             if train is not None:
-                pos = yield from train.run(addr, data)
+                pos = yield from train.run(addr, data, accepts)
                 if pos == size:
                     return
         # Zero-copy: per-line chunks are memoryview spans into the caller's
@@ -110,6 +111,8 @@ class CpuCore:
                     ev = nb.submit_posted(line, mv[pos : pos + CACHELINE])
                     if ev is not None:
                         yield ev
+                    if accepts is not None:
+                        accepts.append(self.sim._now)
                     pos += CACHELINE
                     continue
             else:
@@ -118,6 +121,8 @@ class CpuCore:
                 ev = nb.submit_posted(op.addr, op.data, op.mask)
                 if ev is not None:
                     yield ev  # posted buffer full: wait for acceptance
+            if accepts is not None:
+                accepts.append(self.sim._now)
             pos += n
 
     def _store_uc(self, addr: int, data: bytes):
