@@ -105,14 +105,6 @@ class Board:
         """The boot-strap processor (always chip 0 in this model)."""
         return self.chips[0]
 
-    def used_ports(self, chip_idx: int) -> set:
-        return set(self.chips[chip_idx].ports.keys())
-
-    def free_ports(self, chip_idx: int) -> set:
-        from ..opteron.registers import NUM_LINKS
-
-        return set(range(NUM_LINKS)) - self.used_ports(chip_idx)
-
     def assert_cold_reset(self) -> List[Event]:
         """Power-on: every device asserts cold reset on every attached
         link; returns the per-link training events."""

@@ -120,13 +120,3 @@ class TccDriver:
                 f"cannot mark ring region UC: {exc} -- unmap something first"
             ) from exc
         self._uc_programmed.append((aligned, aligned + size))
-
-    # -- address helpers ------------------------------------------------------------
-    def local_offset_to_global(self, offset: int) -> int:
-        addr = self.local_base + offset
-        if addr >= self.local_limit:
-            raise DriverError(f"offset {offset:#x} beyond local DRAM")
-        return addr
-
-    def is_local(self, addr: int) -> bool:
-        return self.local_base <= addr < self.local_limit

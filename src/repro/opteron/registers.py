@@ -214,11 +214,6 @@ class RoutingTableAccessor:
             raise ValueError(f"link index {k} out of range")
         return 1 << (k + 1)
 
-    def set_all(self, mask_value: int) -> None:
-        self.request = mask_value
-        self.response = mask_value
-        self.broadcast = mask_value
-
 
 class LinkControlAccessor:
     """F0x84+0x20k: bit0 enabled, bit1 trained-coherent (RO status),

@@ -563,9 +563,6 @@ class Simulator:
         calendar entry lands where the process would have pushed it."""
         Process(self, _then(gen, then), name, start=False)._step(None)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 

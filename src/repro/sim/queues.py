@@ -60,14 +60,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
     def put(self, item: Any) -> Event:
         """Return an event that fires once ``item`` is accepted."""
         ev = Event(self.sim, name=self._put_name)
@@ -214,9 +206,6 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-
-    def locked_by_anyone(self) -> bool:
-        return self._in_use >= self.capacity
 
 
 class CreditPool:
