@@ -68,7 +68,10 @@ def make_tcc_pair(timing=DEFAULT_TIMING, activate: bool = True, **link_kw) -> Tc
 
 def system_chips(system):
     """Every chip of a booted system: a ``TCClusterSystem``, a
-    ``TCCluster``, a single-board prototype or a :class:`TccPair`."""
+    ``TCCluster``, a single-board prototype, a :class:`TccPair` or a
+    list of the chips of one simulator."""
+    if isinstance(system, list):
+        return system
     if isinstance(system, TccPair):
         return list(system.chips)
     cluster = getattr(system, "cluster", system)
